@@ -11,7 +11,6 @@ from .analysis import (
     expected_turnover,
     fit_alpha,
     fit_turnover_exponent,
-    top_y,
     turnover,
 )
 from .experiments import (
@@ -21,7 +20,6 @@ from .experiments import (
     SweepSpec,
     derive_run_seed,
     log_binned_histogram,
-    run_inventory_curves,
     run_sales_distribution,
     run_turnover_sweep,
 )
@@ -64,10 +62,8 @@ __all__ = [
     "objective",
     "rank_top",
     "run",
-    "run_inventory_curves",
     "run_sales_distribution",
     "run_turnover_sweep",
     "step",
-    "top_y",
     "turnover",
 ]

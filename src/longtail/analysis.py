@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import SimState, TopYSeries, rank_top
+from .model import TopYSeries
 
 
 class InsufficientDataError(ValueError):
@@ -66,13 +66,6 @@ def fit_alpha(samples: Iterable[float], s_min: float = 1) -> PowerLawFit:
         raise InsufficientDataError("all samples equal s_min; exponent is undefined")
     alpha = 1.0 + n / log_sum
     return PowerLawFit(alpha=alpha, s_min=s_min, n_samples=n, std_error=(alpha - 1.0) / math.sqrt(n))
-
-
-def top_y(state: SimState, y: int) -> list[int]:
-    """Top-y product ids by current-period sales, ties broken by lower id."""
-    if y < 1:
-        raise ValueError(f"y must be >= 1, got {y}")
-    return rank_top(state.product_ids, state.sales, y).tolist()
 
 
 def turnover(series: TopYSeries) -> TurnoverStats:

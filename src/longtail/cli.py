@@ -6,6 +6,11 @@ round-trip exactly. Every output directory receives a manifest.json echoing
 the resolved configuration, seed and tool version needed to reproduce the
 outputs bit-exactly.
 
+Every command and flag is declared once, in COMMANDS; that table builds the
+argument parser, resolves values (built-in default, then --config, then the
+flag), checks required flags and names the flag behind a library field in
+validation errors.
+
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
 
@@ -17,7 +22,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .analysis import (
@@ -36,7 +43,7 @@ from .experiments import (
     run_sales_distribution,
     run_turnover_sweep,
 )
-from .inventory import InventoryParams, bruteforce_stock, inventory_curve
+from .inventory import DEFAULT_AB_RATIOS, InventoryParams, bruteforce_stock, inventory_curve
 from .model import SimConfig, TopYSeries, run
 from .svgplot import Series, loglog_svg
 
@@ -83,25 +90,31 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str], started: float) -> None:
+def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
+    """Create out_dir, write each file by its suffix, then manifest.json.
+
+    ``files`` maps a file name to ``(header, rows)`` for .csv, a payload for
+    .json and text for anything else.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            _write_csv(out_dir / name, *content)
+        elif name.endswith(".json"):
+            _write_json(out_dir / name, content)
+        else:
+            (out_dir / name).write_text(content)
     manifest = {
         "tool": "longtail",
         "version": __version__,
         "command": command,
         "config": config,
         "seed": seed,
-        "outputs": sorted(outputs),
-        "schemas": {name: SCHEMA_VERSIONS[name] for name in sorted(outputs) if name in SCHEMA_VERSIONS},
+        "outputs": sorted(files),
+        "schemas": {name: SCHEMA_VERSIONS[name] for name in sorted(files) if name in SCHEMA_VERSIONS},
         "duration_seconds": time.monotonic() - started,
     }
     _write_json(out_dir / "manifest.json", manifest)
-
-
-def _flagged(exc: ValueError, flag_by_field: dict[str, str]) -> ValueError:
-    """Prefix a validation message with the CLI flag for the offending field."""
-    message = str(exc)
-    flag = flag_by_field.get(message.split(" ", 1)[0])
-    return ValueError(f"{flag}: {message}") if flag else exc
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -115,69 +128,20 @@ def _int_list(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # simulate
 
-SIM_FLAGS = {
-    "n_agents": "--n",
-    "mu": "--mu",
-    "steps": "--steps",
-    "x0": "--x0",
-    "seed": "--seed",
-    "burn_in": "--burn-in",
-    "y": "--y",
-}
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(a) -> int:
     started = time.monotonic()
-    try:
-        config = SimConfig(
-            n_agents=args.n,
-            mu=args.mu,
-            steps=args.steps,
-            x0=args.x0,
-            seed=args.seed,
-            burn_in=args.burn_in,
-        )
-        if args.y < 1:
-            raise ValueError(f"y must be >= 1, got {args.y}")
-    except ValueError as exc:
-        raise _flagged(exc, SIM_FLAGS) from None
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    state, series = run(config, y=args.y)
+    config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
+    state, series = run(config, y=a.y)
     stats = turnover(series)
-
-    _write_csv(
-        out_dir / "cumulative_sales.csv",
-        ["product_id", "cumulative_sales"],
-        enumerate(state.cumulative.tolist()),
-    )
-    _write_csv(
-        out_dir / "top_products.csv",
-        ["period", "product_id"],
-        ((period, pid) for period, ids in enumerate(series.lists) for pid in ids),
-    )
-    _write_csv(
-        out_dir / "turnover.csv",
-        ["period", "new_entries"],
-        ((period, z) for period, z in enumerate(stats.z_per_period, start=1)),
-    )
-    _write_manifest(
-        out_dir,
-        "simulate",
-        {
-            "n_agents": config.n_agents,
-            "mu": config.mu,
-            "steps": config.steps,
-            "x0": config.x0,
-            "seed": config.seed,
-            "burn_in": config.burn_in,
-            "y": args.y,
-        },
-        config.seed,
-        ["cumulative_sales.csv", "top_products.csv", "turnover.csv"],
-        started,
-    )
+    files = {
+        "cumulative_sales.csv": (["product_id", "cumulative_sales"], enumerate(state.cumulative.tolist())),
+        "top_products.csv": (
+            ["period", "product_id"],
+            ((period, pid) for period, ids in enumerate(series.lists) for pid in ids),
+        ),
+        "turnover.csv": (["period", "new_entries"], enumerate(stats.z_per_period, start=1)),
+    }
+    _write_outputs(Path(a.out_dir), "simulate", {**asdict(config), "y": a.y}, config.seed, files, started)
     return 0
 
 
@@ -204,127 +168,44 @@ def _read_sales_column(path: Path) -> list[int]:
     return values
 
 
-def cmd_fit(args) -> int:
-    if args.s_min < 1:
-        raise ValueError(f"--s-min: s_min must be >= 1, got {args.s_min}")
-    samples = _read_sales_column(Path(args.input))
-    fit = fit_alpha(samples, s_min=args.s_min)
-    _print_json(
-        {
-            "alpha": fit.alpha,
-            "s_min": fit.s_min,
-            "n_samples": fit.n_samples,
-            "std_error": fit.std_error,
-        }
-    )
+def cmd_fit(a) -> int:
+    _print_json(asdict(fit_alpha(_read_sales_column(Path(a.input)), s_min=a.s_min)))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # turnover
 
-def cmd_turnover(args) -> int:
-    lists = load_chart(Path(args.input))
-    if args.y < 1:
-        raise ValueError(f"--y: y must be >= 1, got {args.y}")
+def cmd_turnover(a) -> int:
+    lists = load_chart(Path(a.input))
+    if a.y < 1:
+        raise ValueError(f"y must be >= 1, got {a.y}")
     shortest = min(len(l) for l in lists)
-    if args.y > shortest:
-        raise ValueError(f"--y: y={args.y} exceeds the shortest per-period list length ({shortest})")
-    series = TopYSeries(y=args.y, lists=[l[: args.y] for l in lists])
-    stats = turnover(series)
-    _print_json(
-        {
-            "z_per_period": stats.z_per_period,
-            "z_bar": stats.z_bar,
-            "as_fraction": stats.as_fraction,
-            "mu_hat": calibrate_mu(stats.as_fraction),
-        }
-    )
+    if a.y > shortest:
+        raise ValueError(f"y {a.y} exceeds the shortest per-period list length ({shortest})")
+    stats = turnover(TopYSeries(y=a.y, lists=[l[: a.y] for l in lists]))
+    _print_json({**asdict(stats), "mu_hat": calibrate_mu(stats.as_fraction)})
     return 0
 
 
 # ---------------------------------------------------------------------------
 # optimize
 
-OPT_FLAGS = {
-    "profit_per_item": "--A",
-    "turnover_cost": "--B",
-    "mu": "--mu",
-    "alpha": "--alpha",
-    "y_max": "--y-max",
-}
-
-
-def cmd_optimize(args) -> int:
-    try:
-        params = InventoryParams(
-            profit_per_item=args.A,
-            turnover_cost=args.B,
-            mu=args.mu,
-            alpha=args.alpha,
-            y_max=args.y_max,
-        )
-    except ValueError as exc:
-        raise _flagged(exc, OPT_FLAGS) from None
-    result = bruteforce_stock(params)
-    _print_json(
-        {
-            "y_closed_form": result.y_closed_form,
-            "y_closed_form_floor": result.y_closed_form_floor,
-            "y_bruteforce": result.y_bruteforce,
-            "objective_at_optimum": result.objective_at_optimum,
-            "note": result.note,
-        }
-    )
+def cmd_optimize(a) -> int:
+    params = InventoryParams(profit_per_item=a.A, turnover_cost=a.B, mu=a.mu, alpha=a.alpha, y_max=a.y_max)
+    _print_json(asdict(bruteforce_stock(params)))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# reproduce
+# reproduce: each preset computes its results, then returns the manifest
+# config and the files to write, so a failure while computing leaves no
+# output directory
 
-def _write_sales_distribution(out_dir: Path, seed: int, targets, n_agents: int, steps: int, replicates: int):
+def _sales_distribution(a):
     results = run_sales_distribution(
-        targets=targets,
-        n_agents=n_agents,
-        steps=steps,
-        replicates=replicates,
-        master_seed=seed,
+        targets=a.targets, n_agents=a.n, steps=a.steps, replicates=a.runs, master_seed=a.seed
     )
-    _write_csv(
-        out_dir / "sales_histogram.csv",
-        ["n_mu", "mu", "bin_lo", "bin_hi", "count"],
-        (
-            (r.n_mu, r.mu, lo, hi, count)
-            for r in results
-            for lo, hi, count in r.histogram
-        ),
-    )
-    _write_csv(
-        out_dir / "sales_samples.csv",
-        ["n_mu", "cumulative_sales"],
-        ((r.n_mu, int(s)) for r in results for s in r.samples),
-    )
-    _write_json(
-        out_dir / "exponent_fits.json",
-        [
-            {
-                "n_mu": r.n_mu,
-                "mu": r.mu,
-                "total_products": r.total_products,
-                "winner_take_all": r.winner_take_all,
-                "fit": None
-                if r.fit is None
-                else {
-                    "alpha": r.fit.alpha,
-                    "s_min": r.fit.s_min,
-                    "n_samples": r.fit.n_samples,
-                    "std_error": r.fit.std_error,
-                },
-            }
-            for r in results
-        ],
-    )
-
     plot_series = []
     for r in results:
         points = [
@@ -334,33 +215,42 @@ def _write_sales_distribution(out_dir: Path, seed: int, targets, n_agents: int, 
         ]
         label = f"N*mu = {r.n_mu:g}" + (" (winner-take-all)" if r.winner_take_all else "")
         plot_series.append(Series(label=label, x=[p[0] for p in points], y=[p[1] for p in points], line=True))
-    svg = loglog_svg(
-        plot_series,
-        title="Cumulative sales distribution",
-        x_label="cumulative sales S",
-        y_label="P(S)",
-    )
-    (out_dir / "sales_distribution.svg").write_text(svg)
-    return ["sales_histogram.csv", "sales_samples.csv", "exponent_fits.json", "sales_distribution.svg"]
+    config = {"targets": list(a.targets), "n_agents": a.n, "steps": a.steps, "replicates": a.runs}
+    return config, {
+        "sales_histogram.csv": (
+            ["n_mu", "mu", "bin_lo", "bin_hi", "count"],
+            ((r.n_mu, r.mu, lo, hi, count) for r in results for lo, hi, count in r.histogram),
+        ),
+        "sales_samples.csv": (["n_mu", "cumulative_sales"], ((r.n_mu, int(s)) for r in results for s in r.samples)),
+        "exponent_fits.json": [
+            {
+                "n_mu": r.n_mu,
+                "mu": r.mu,
+                "total_products": r.total_products,
+                "winner_take_all": r.winner_take_all,
+                "fit": None if r.fit is None else asdict(r.fit),
+            }
+            for r in results
+        ],
+        "sales_distribution.svg": loglog_svg(
+            plot_series,
+            title="Cumulative sales distribution",
+            x_label="cumulative sales S",
+            y_label="P(S)",
+        ),
+    }
 
 
-def _write_turnover_sweep(out_dir: Path, spec: SweepSpec, workers: int):
-    result, fit = run_turnover_sweep(spec, workers=workers)
-    _write_csv(
-        out_dir / "turnover_sweep.csv",
-        ["n_agents", "mu", "z_bar", "z_std"],
-        ((c.n_agents, c.mu, c.z_bar, c.z_std) for c in result.cells),
+def _turnover_sweep(a):
+    spec = SweepSpec(
+        n_grid=a.n_grid,
+        mu_grid=DEFAULT_MU_GRID if a.mu_grid is None else a.mu_grid,
+        runs_per_cell=a.runs,
+        steps=a.steps,
+        y=a.y,
+        master_seed=a.seed,
     )
-    _write_csv(
-        out_dir / "turnover_by_mu.csv",
-        ["mu", "z_bar_mean", "z_bar_std"],
-        result.per_mu_stats(),
-    )
-    _write_json(
-        out_dir / "turnover_fit.json",
-        {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared},
-    )
-
+    result, fit = run_turnover_sweep(spec, workers=a.workers)
     mu_lo, mu_hi = min(spec.mu_grid), max(spec.mu_grid)
     fit_x = [mu_lo, mu_hi]
     fit_y = [math.exp(fit.intercept + fit.slope * math.log(m)) for m in fit_x]
@@ -379,227 +269,210 @@ def _write_turnover_sweep(out_dir: Path, spec: SweepSpec, workers: int):
         x_label="innovation fraction mu",
         y_label="mean turnover z_bar (items/period)",
     )
-    (out_dir / "turnover_sweep.svg").write_text(svg)
-    return ["turnover_sweep.csv", "turnover_by_mu.csv", "turnover_fit.json", "turnover_sweep.svg"]
+    config = asdict(spec)
+    del config["master_seed"]  # recorded as the manifest's seed
+    return config, {
+        "turnover_sweep.csv": (
+            ["n_agents", "mu", "z_bar", "z_std"],
+            ((c.n_agents, c.mu, c.z_bar, c.z_std) for c in result.cells),
+        ),
+        "turnover_by_mu.csv": (["mu", "z_bar_mean", "z_bar_std"], result.per_mu_stats()),
+        "turnover_fit.json": asdict(fit),
+        "turnover_sweep.svg": svg,
+    }
 
 
-def _write_inventory_curves(out_dir: Path, alpha: float, ab_ratios, mu_grid):
-    points = inventory_curve(alpha=alpha, ab_ratios=ab_ratios, mu_grid=mu_grid)
-    _write_csv(
-        out_dir / "inventory_curves.csv",
-        ["ab_ratio", "mu", "y_value", "y_floor"],
-        ((p.ab_ratio, p.mu, p.y_value, p.y_floor) for p in points),
-    )
+def _inventory_curves(a):
+    points = inventory_curve(alpha=a.alpha, ab_ratios=a.ab_ratios, mu_grid=a.mu_grid)
     series = []
-    for ab in ab_ratios:
+    for ab in a.ab_ratios:
         curve = [p for p in points if p.ab_ratio == ab]
-        series.append(
-            Series(
-                label=f"A/B = {ab:g}",
-                x=[p.mu for p in curve],
-                y=[p.y_value for p in curve],
-                line=True,
-            )
-        )
-    svg = loglog_svg(
-        series,
-        title="Optimal shelf size vs innovation fraction",
-        x_label="innovation fraction mu",
-        y_label="optimal shelf size y",
-    )
-    (out_dir / "inventory_curves.svg").write_text(svg)
-    return ["inventory_curves.csv", "inventory_curves.svg"]
+        series.append(Series(label=f"A/B = {ab:g}", x=[p.mu for p in curve], y=[p.y_value for p in curve], line=True))
+    config = {
+        "alpha": a.alpha,
+        "ab_ratios": list(a.ab_ratios),
+        "mu_grid": None if a.mu_grid is None else list(a.mu_grid),
+    }
+    return config, {
+        "inventory_curves.csv": (
+            ["ab_ratio", "mu", "y_value", "y_floor"],
+            ((p.ab_ratio, p.mu, p.y_value, p.y_floor) for p in points),
+        ),
+        "inventory_curves.svg": loglog_svg(
+            series,
+            title="Optimal shelf size vs innovation fraction",
+            x_label="innovation fraction mu",
+            y_label="optimal shelf size y",
+        ),
+    }
 
 
-def cmd_reproduce(args) -> int:
+PRESETS = {"2left": _sales_distribution, "2right": _turnover_sweep, "3": _inventory_curves}
+
+
+def cmd_reproduce(a) -> int:
     started = time.monotonic()
-    if args.figure not in ("2left", "2right", "3"):
-        raise ValueError(f"--figure: must be one of 2left, 2right, 3; got {args.figure!r}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.figure == "2left":
-        targets = args.targets if args.targets is not None else DEFAULT_NMU_TARGETS
-        n_agents = args.n if args.n is not None else 500
-        steps = args.steps if args.steps is not None else 1000
-        replicates = args.runs if args.runs is not None else 10
-        outputs = _write_sales_distribution(out_dir, args.seed, targets, n_agents, steps, replicates)
-        config = {
-            "targets": list(targets),
-            "n_agents": n_agents,
-            "steps": steps,
-            "replicates": replicates,
-        }
-    elif args.figure == "2right":
-        spec = SweepSpec(
-            n_grid=args.n_grid if args.n_grid is not None else DEFAULT_N_GRID,
-            mu_grid=args.mu_grid if args.mu_grid is not None else DEFAULT_MU_GRID,
-            runs_per_cell=args.runs if args.runs is not None else 10,
-            steps=args.steps if args.steps is not None else 1000,
-            y=args.y if args.y is not None else 5,
-            master_seed=args.seed,
-        )
-        outputs = _write_turnover_sweep(out_dir, spec, workers=args.workers)
-        config = {
-            "n_grid": list(spec.n_grid),
-            "mu_grid": list(spec.mu_grid),
-            "runs_per_cell": spec.runs_per_cell,
-            "steps": spec.steps,
-            "y": spec.y,
-        }
-    else:  # figure 3
-        ab_ratios = args.ab_ratios if args.ab_ratios is not None else (10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
-        mu_grid = args.mu_grid  # None -> inventory_curve default
-        outputs = _write_inventory_curves(out_dir, args.alpha, ab_ratios, mu_grid)
-        config = {
-            "alpha": args.alpha,
-            "ab_ratios": list(ab_ratios),
-            "mu_grid": None if mu_grid is None else list(mu_grid),
-        }
-
-    _write_manifest(out_dir, f"reproduce {args.figure}", config, args.seed, outputs, started)
+    if a.figure not in PRESETS:
+        raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {a.figure!r}")
+    config, files = PRESETS[a.figure](a)
+    _write_outputs(Path(a.out_dir), f"reproduce {a.figure}", config, a.seed, files, started)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table
 
-# flags that must come from the command line or a --config file
-REQUIRED = {
-    "simulate": {"n": "--n", "mu": "--mu", "steps": "--steps", "out_dir": "--out-dir"},
-    "fit": {"input": "--input"},
-    "turnover": {"input": "--input", "y": "--y"},
-    "optimize": {"A": "--A", "B": "--B", "mu": "--mu"},
-    "reproduce": {"figure": "--figure", "out_dir": "--out-dir"},
+REQUIRED = object()  # default of a flag that must come from the command line or --config
+
+
+class Flag(NamedTuple):
+    name: str
+    type: Callable
+    default: object
+    help: str
+    # library fields the value feeds; a ValueError whose message starts with
+    # one of them is reported against this flag
+    fields: tuple[str, ...] = ()
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    flags: tuple[Flag, ...]
+
+
+COMMANDS = {
+    "simulate": Command(cmd_simulate, "run one simulation and write its outputs as CSV", (
+        Flag("--n", int, REQUIRED, "number of agents", ("n_agents",)),
+        Flag("--mu", float, REQUIRED, "innovation fraction in [0, 1]", ("mu",)),
+        Flag("--steps", int, REQUIRED, "number of periods", ("steps",)),
+        Flag("--seed", int, 0, "RNG seed", ("seed",)),
+        Flag("--y", int, 5, "top-list size to record", ("y",)),
+        Flag("--x0", int, None, "initial product count (default: n)", ("x0",)),
+        Flag("--burn-in", int, 0, "periods excluded from cumulative sales", ("burn_in",)),
+        Flag("--out-dir", str, REQUIRED, "output directory"),
+    )),
+    "fit": Command(cmd_fit, "fit a power-law exponent to a sales CSV", (
+        Flag("--input", str, REQUIRED, "CSV with a 'sales' or 'cumulative_sales' column"),
+        Flag("--s-min", float, 1, "smallest sales value included", ("s_min",)),
+    )),
+    "turnover": Command(cmd_turnover, "turnover statistics and implied mu for a chart file", (
+        Flag("--input", str, REQUIRED, "chart CSV: period,product_id[,sales]"),
+        Flag("--y", int, REQUIRED, "list size to analyze", ("y",)),
+    )),
+    "optimize": Command(cmd_optimize, "optimal shelf size for given profit/cost parameters", (
+        Flag("--A", float, REQUIRED, "profit per item", ("profit_per_item",)),
+        Flag("--B", float, REQUIRED, "cost per inventory change", ("turnover_cost",)),
+        Flag("--mu", float, REQUIRED, "innovation fraction in (0, 1]", ("mu",)),
+        Flag("--alpha", float, 3.5, "sales power-law exponent", ("alpha",)),
+        Flag("--y-max", int, 1_000_000, "search bound", ("y_max",)),
+    )),
+    "reproduce": Command(cmd_reproduce, "run a bundled experiment preset and render CSV + SVG", (
+        Flag("--figure", str, REQUIRED, f"experiment preset: {', '.join(PRESETS)}", ("figure",)),
+        Flag("--out-dir", str, REQUIRED, "output directory"),
+        Flag("--seed", int, 0, "master seed", ("master_seed",)),
+        Flag("--steps", int, 1000, "steps per run for 2left and 2right", ("steps",)),
+        Flag("--runs", int, 10, "replicates per 2left target or 2right cell", ("replicates", "runs_per_cell")),
+        Flag("--y", int, 5, "top-list size for 2right", ("y",)),
+        Flag("--n", int, 500, "agent count for 2left", ("n_agents",)),
+        Flag("--n-grid", _int_list, DEFAULT_N_GRID, "comma-separated N grid for 2right", ("n_grid",)),
+        Flag("--mu-grid", _float_list, None,
+             "comma-separated mu grid (default: six values from 0.002 to 0.05 for 2right,"
+             " 25 log-spaced values in [1e-4, 0.5] for 3)", ("mu_grid", "mu")),
+        Flag("--targets", _float_list, DEFAULT_NMU_TARGETS, "comma-separated N*mu targets for 2left", ("targets",)),
+        Flag("--ab-ratios", _float_list, DEFAULT_AB_RATIOS, "comma-separated A/B ratios for 3",
+             ("ab_ratios", "profit_per_item")),
+        Flag("--alpha", float, 3.5, "exponent of the shelf-size curves for 3", ("alpha",)),
+        Flag("--workers", int, 1, "worker processes for the 2right sweep"),
+    )),
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _help(flag: Flag) -> str:
+    if flag.default is REQUIRED or flag.default is None:
+        return flag.help
+    default = ",".join(map(str, flag.default)) if isinstance(flag.default, tuple) else flag.default
+    return f"{flag.help} (default {default})"
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="longtail",
         description="Random-copying market simulator and long-tail analysis toolkit.",
     )
     parser.add_argument("--version", action="version", version=f"longtail {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub_map = {}
-
-    def add_command(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="JSON", help="JSON file supplying defaults (flags override)")
-        p.set_defaults(handler=handler)
-        sub_map[name] = p
-        return p
-
-    p = add_command("simulate", cmd_simulate, "run one simulation and write its outputs as CSV")
-    p.add_argument("--n", type=int, help="number of agents")
-    p.add_argument("--mu", type=float, help="innovation fraction in [0, 1]")
-    p.add_argument("--steps", type=int, help="number of periods")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--y", type=int, default=5, help="top-list size to record (default 5)")
-    p.add_argument("--x0", type=int, default=None, help="initial product count (default: n)")
-    p.add_argument("--burn-in", type=int, default=0, dest="burn_in", help="periods excluded from cumulative sales")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-
-    p = add_command("fit", cmd_fit, "fit a power-law exponent to a sales CSV")
-    p.add_argument("--input", help="CSV with a 'sales' or 'cumulative_sales' column")
-    p.add_argument("--s-min", type=float, default=1, dest="s_min", help="smallest sales value included (default 1)")
-
-    p = add_command("turnover", cmd_turnover, "turnover statistics and implied mu for a chart file")
-    p.add_argument("--input", help="chart CSV: period,product_id[,sales]")
-    p.add_argument("--y", type=int, help="list size to analyze")
-
-    p = add_command("optimize", cmd_optimize, "optimal shelf size for given profit/cost parameters")
-    p.add_argument("--A", type=float, help="profit per item")
-    p.add_argument("--B", type=float, help="cost per inventory change")
-    p.add_argument("--mu", type=float, help="innovation fraction in (0, 1]")
-    p.add_argument("--alpha", type=float, default=3.5, help="sales power-law exponent (default 3.5)")
-    p.add_argument("--y-max", type=int, default=1_000_000, dest="y_max", help="search bound (default 1e6)")
-
-    p = add_command("reproduce", cmd_reproduce, "run a bundled experiment preset and render CSV + SVG")
-    p.add_argument("--figure", choices=["2left", "2right", "3"], help="experiment preset")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=None, help="override steps per run")
-    p.add_argument("--runs", type=int, default=None, help="override replicates per cell/target")
-    p.add_argument("--y", type=int, default=None, help="override top-list size (2right)")
-    p.add_argument("--n", type=int, default=None, help="override agent count (2left)")
-    p.add_argument("--n-grid", type=_int_list, default=None, dest="n_grid", help="comma-separated N grid (2right)")
-    p.add_argument("--mu-grid", type=_float_list, default=None, dest="mu_grid", help="comma-separated mu grid")
-    p.add_argument("--targets", type=_float_list, default=None, help="comma-separated N*mu targets (2left)")
-    p.add_argument("--ab-ratios", type=_float_list, default=None, dest="ab_ratios", help="comma-separated A/B ratios (3)")
-    p.add_argument("--alpha", type=float, default=3.5, help="exponent for the shelf-size curves")
-    p.add_argument("--workers", type=int, default=1, help="worker processes for the sweep")
-
-    return parser, sub_map
+    for name, command in COMMANDS.items():
+        # SUPPRESS: the namespace holds only the flags actually passed
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", metavar="JSON", help="JSON file supplying values (flags override)")
+        for flag in command.flags:
+            p.add_argument(flag.name, type=flag.type, dest=flag.dest, help=_help(flag))
+    return parser
 
 
-def _extract_config(argv: list[str]) -> tuple[dict | None, list[str]]:
-    """Pull --config PATH out of argv and load it, before argparse runs."""
-    remaining = []
-    config_path = None
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config: expected a file path")
-            config_path = argv[i + 1]
-            i += 2
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-            i += 1
-        else:
-            remaining.append(token)
-            i += 1
-    if config_path is None:
-        return None, remaining
-    with open(config_path) as fh:
+def _read_config(path: str, name: str) -> dict:
+    """Config values by dest: strings converted by the flag's type, lists as tuples, nulls dropped."""
+    with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise ValueError(f"{config_path}: config must be a JSON object")
-    return data, remaining
+        raise ValueError(f"--config: {path} must hold a JSON object")
+    flags = {flag.dest: flag for flag in COMMANDS[name].flags}
+    values = {}
+    for key, value in data.items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise ValueError(f"--config: unknown key {key!r} for '{name}'")
+        if isinstance(value, str):
+            try:
+                value = flag.type(value)
+            except ValueError:
+                raise ValueError(f"{flag.name}: invalid value {value!r} in --config") from None
+        elif isinstance(value, list):
+            value = tuple(value)
+        if value is not None:
+            values[flag.dest] = value
+    return values
 
 
-def _apply_config(config: dict, command: str | None, sub_map) -> None:
-    """Install config values as subparser defaults; explicit flags still win."""
-    if command not in sub_map:
-        raise ValueError("--config: requires a subcommand")
-    subparser = sub_map[command]
-    known = {action.dest for action in subparser._actions}
-    overrides = {}
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest not in known or dest in ("help", "config", "handler"):
-            raise ValueError(f"--config: unknown key {key!r} for '{command}'")
-        overrides[dest] = tuple(value) if isinstance(value, list) else value
-    subparser.set_defaults(**overrides)
+def _resolve(name: str, passed: dict) -> argparse.Namespace:
+    """Every flag's value: built-in default, then --config, then the flag."""
+    flags = COMMANDS[name].flags
+    values = {flag.dest: flag.default for flag in flags}
+    if "config" in passed:
+        values.update(_read_config(passed.pop("config"), name))
+    values.update(passed)
+    missing = [flag.name for flag in flags if values[flag.dest] is REQUIRED]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)} (pass the flag or set it in --config)")
+    return argparse.Namespace(**values)
+
+
+def _flagged(message: str, name: str) -> str:
+    """Prefix a message that starts with a library field with that field's flag."""
+    field = message.split(" ", 1)[0]
+    flag = next((f.name for f in COMMANDS[name].flags if field in f.fields), None)
+    return f"{flag}: {message}" if flag else message
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     try:
-        config, argv = _extract_config(argv)
-        parser, sub_map = _build_parser()
-        if config is not None:
-            command = next((t for t in argv if not t.startswith("-")), None)
-            _apply_config(config, command, sub_map)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-        for dest, flag in REQUIRED[args.command].items():
-            if getattr(args, dest) is None:
-                raise ValueError(f"{flag} is required (pass the flag or set it in --config)")
-        return args.handler(args)
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        passed = vars(_build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    name = passed.pop("command")
+    try:
+        return COMMANDS[name].handler(_resolve(name, passed))
+    except (ValueError, OSError) as exc:
+        print(f"error: {_flagged(str(exc), name)}", file=sys.stderr)
+        if isinstance(exc, InsufficientDataError):
+            return 4
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

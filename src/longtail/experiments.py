@@ -1,12 +1,12 @@
 """Reproducible ensemble experiments over the random-copying market model.
 
-Three bundled studies:
+Two seeded studies (the deterministic shelf-size curves are
+``inventory.inventory_curve``):
 
 * ``run_sales_distribution`` — cumulative-sales distributions for a set of
   N*mu targets, with log-binned histograms and ML exponent fits.
 * ``run_turnover_sweep`` — mean top-y turnover over an (N, mu) grid with
   replicates, plus the pooled log-log fit of z_bar against mu.
-* ``run_inventory_curves`` — deterministic closed-form shelf-size curves.
 
 Every run's seed is a pure function of (master_seed, cell index, replicate
 index), so results are bit-reproducible and cells can be farmed out to
@@ -22,14 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    InsufficientDataError,
     LogLogFit,
     PowerLawFit,
     fit_alpha,
     fit_turnover_exponent,
     turnover,
 )
-from .inventory import CurvePoint, inventory_curve
 from .model import SimConfig, run
 
 # Default sweep protocol: 60 (N, mu) cells, 10 replicates of 1000 steps each,
@@ -51,11 +49,20 @@ class SweepSpec:
     steps: int = 1000
     y: int = 5
     master_seed: int = 0
-    fit_alpha_per_run: bool = False
 
     def __post_init__(self):
+        # checked before any cell runs: the pooled log-log fit at the end
+        # needs at least 3 cells over at least 2 distinct positive mu values
         if not self.n_grid or not self.mu_grid:
             raise ValueError("n_grid and mu_grid must be non-empty")
+        if min(self.n_grid) < 1:
+            raise ValueError(f"n_grid values must be >= 1, got {self.n_grid}")
+        if not all(0.0 < mu <= 1.0 for mu in self.mu_grid):
+            raise ValueError(f"mu_grid values must be within (0, 1], got {self.mu_grid}")
+        if len(set(self.mu_grid)) < 2:
+            raise ValueError(f"mu_grid must hold at least 2 distinct values, got {self.mu_grid}")
+        if len(self.n_grid) * len(self.mu_grid) < 3:
+            raise ValueError("n_grid and mu_grid must span at least 3 cells for the turnover fit")
         if self.runs_per_cell < 1:
             raise ValueError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
 
@@ -75,7 +82,6 @@ class CellResult:
     z_bar: float  # mean of per-run z_bar over replicates
     z_std: float  # std of per-run z_bar over replicates
     z_bar_runs: tuple[float, ...]
-    alpha_runs: tuple[float, ...] | None = None
 
 
 @dataclass
@@ -94,6 +100,8 @@ class SweepResult:
 
 def derive_run_seed(master_seed: int, cell_index: int, replicate_index: int) -> int:
     """Deterministic 64-bit run seed for one replicate of one grid cell."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     seq = np.random.SeedSequence((master_seed, cell_index, replicate_index))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -101,18 +109,11 @@ def derive_run_seed(master_seed: int, cell_index: int, replicate_index: int) -> 
 def _run_cell(task: tuple[SweepSpec, int, int, float]) -> CellResult:
     spec, cell_index, n_agents, mu = task
     z_bars = []
-    alphas = [] if spec.fit_alpha_per_run else None
     for replicate in range(spec.runs_per_cell):
         seed = derive_run_seed(spec.master_seed, cell_index, replicate)
         config = SimConfig(n_agents=n_agents, mu=mu, steps=spec.steps, seed=seed)
-        state, series = run(config, y=spec.y)
+        _, series = run(config, y=spec.y)
         z_bars.append(turnover(series).z_bar)
-        if alphas is not None:
-            samples = state.cumulative[state.cumulative >= 1]
-            try:
-                alphas.append(fit_alpha(samples).alpha)
-            except InsufficientDataError:
-                alphas.append(math.nan)
     values = np.array(z_bars)
     return CellResult(
         n_agents=n_agents,
@@ -120,7 +121,6 @@ def _run_cell(task: tuple[SweepSpec, int, int, float]) -> CellResult:
         z_bar=float(values.mean()),
         z_std=float(values.std()),
         z_bar_runs=tuple(z_bars),
-        alpha_runs=None if alphas is None else tuple(alphas),
     )
 
 
@@ -184,15 +184,20 @@ def run_sales_distribution(
     and the per-product cumulative sales are pooled across replicates. For
     targets with N*mu <= 1 the market is winner-take-all rather than
     power-law distributed, so the exponent fit is skipped and the result is
-    flagged instead.
+    flagged instead. All arguments are checked before the first run.
     """
+    if n_agents < 1:
+        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    for target in targets:
+        if not 0.0 < target <= n_agents:
+            raise ValueError(
+                f"targets must lie in (0, n_agents] so that mu = target/n_agents is in (0, 1], got {target}"
+            )
     results = []
     for cell_index, target in enumerate(targets):
         mu = target / n_agents
-        if not 0.0 < mu <= 1.0:
-            raise ValueError(
-                f"target {target} is not expressible as n_agents*mu with mu in (0, 1]"
-            )
         pooled = []
         total_products = 0
         for replicate in range(replicates):
@@ -217,12 +222,3 @@ def run_sales_distribution(
             )
         )
     return results
-
-
-def run_inventory_curves(
-    alpha: float = 3.5,
-    ab_ratios: tuple[float, ...] = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6),
-    mu_grid: tuple[float, ...] | None = None,
-) -> list[CurvePoint]:
-    """Deterministic shelf-size curves (no randomness involved)."""
-    return inventory_curve(alpha=alpha, ab_ratios=ab_ratios, mu_grid=mu_grid)

@@ -28,13 +28,15 @@ DISAGREEMENT_NOTE = (
     "y_bruteforce maximizes the stocking objective by construction"
 )
 
+DEFAULT_AB_RATIOS = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+
 
 @dataclass
 class InventoryParams:
     """Inputs to the stocking objective.
 
     profit_per_item (A) >= 0, turnover_cost (B) > 0, 0 < mu <= 1,
-    alpha > 0; y_max bounds the brute-force search.
+    alpha > 0, all finite; y_max bounds the brute-force search.
     """
 
     profit_per_item: float
@@ -44,14 +46,14 @@ class InventoryParams:
     y_max: int = 1_000_000
 
     def __post_init__(self):
-        if self.profit_per_item < 0:
-            raise ValueError(f"profit_per_item must be >= 0, got {self.profit_per_item}")
-        if self.turnover_cost <= 0:
-            raise ValueError(f"turnover_cost must be > 0, got {self.turnover_cost}")
+        if not (math.isfinite(self.profit_per_item) and self.profit_per_item >= 0):
+            raise ValueError(f"profit_per_item must be finite and >= 0, got {self.profit_per_item}")
+        if not (math.isfinite(self.turnover_cost) and self.turnover_cost > 0):
+            raise ValueError(f"turnover_cost must be finite and > 0, got {self.turnover_cost}")
         if not 0.0 < self.mu <= 1.0:
             raise ValueError(f"mu must be within (0, 1], got {self.mu}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.y_max < 1:
             raise ValueError(f"y_max must be >= 1, got {self.y_max}")
 
@@ -139,19 +141,18 @@ class CurvePoint:
 
 def inventory_curve(
     alpha: float = 3.5,
-    ab_ratios: tuple[float, ...] = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6),
+    ab_ratios: tuple[float, ...] = DEFAULT_AB_RATIOS,
     mu_grid: tuple[float, ...] | None = None,
 ) -> list[CurvePoint]:
     """Closed-form shelf size over a grid of profit/cost ratios and mu values.
 
     The default alpha of 3.5 matches the commonly cited exponent for book
     sales. Only the ratio A/B matters (the closed form is scale-invariant
-    in A and B), so points are evaluated at B = 1.
+    in A and B), so points are evaluated at B = 1. Each point is checked as
+    an ``InventoryParams``, so every mu must lie in (0, 1].
     """
     if mu_grid is None:
         mu_grid = tuple(np.geomspace(1e-4, 0.5, 25).tolist())
-    if any(m <= 0 for m in mu_grid):
-        raise ValueError("all mu values must be positive")
     points = []
     for ab in ab_ratios:
         for mu in mu_grid:

@@ -74,14 +74,6 @@ class SimState:
     def alive_count(self) -> int:
         return int(self.product_ids.size)
 
-    @property
-    def current_sales(self) -> dict[int, int]:
-        return dict(zip(self.product_ids.tolist(), self.sales.tolist()))
-
-    @property
-    def cumulative_sales(self) -> dict[int, int]:
-        return dict(enumerate(self.cumulative.tolist()))
-
 
 @dataclass
 class TopYSeries:

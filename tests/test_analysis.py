@@ -13,10 +13,9 @@ from longtail.analysis import (
     expected_turnover,
     fit_alpha,
     fit_turnover_exponent,
-    top_y,
     turnover,
 )
-from longtail.model import SimState, TopYSeries
+from longtail.model import TopYSeries, rank_top
 from oracles import power_law_samples
 
 
@@ -67,37 +66,20 @@ def test_fit_alpha_scale_covariance(factor):
     assert scaled.alpha == pytest.approx(base.alpha, rel=1e-9)
 
 
-def _state(ids, sales):
-    ids = np.array(ids, dtype=np.int64)
-    sales = np.array(sales, dtype=np.int64)
-    next_id = int(ids.max()) + 1
-    return SimState(
-        period=1,
-        product_ids=ids,
-        sales=sales,
-        cumulative=np.zeros(next_id, dtype=np.int64),
-        next_product_id=next_id,
-    )
+def _top_y(ids, sales, y):
+    return rank_top(np.array(ids, dtype=np.int64), np.array(sales, dtype=np.int64), y).tolist()
 
 
 def test_top_y_breaks_ties_by_ascending_id():
-    state = _state([0, 1, 2], [5, 3, 3])
-    assert top_y(state, 2) == [0, 1]
+    assert _top_y([0, 1, 2], [5, 3, 3], 2) == [0, 1]
 
 
 def test_top_y_with_fewer_products_than_y():
-    state = _state([4], [5])
-    assert top_y(state, 3) == [4]
+    assert _top_y([4], [5], 3) == [4]
 
 
 def test_top_y_sorts_by_sales_descending():
-    state = _state([0, 1, 2, 3], [1, 2, 3, 4])
-    assert top_y(state, 2) == [3, 2]
-
-
-def test_top_y_rejects_bad_y():
-    with pytest.raises(ValueError, match="y"):
-        top_y(_state([0], [3]), 0)
+    assert _top_y([0, 1, 2, 3], [1, 2, 3, 4], 2) == [3, 2]
 
 
 def test_turnover_identical_lists_is_zero():

@@ -341,3 +341,89 @@ def test_config_missing_file_exit_3(tmp_path):
 def test_missing_required_flag_exit_2(capsys):
     assert run_cli("simulate", "--n", 10) == 2
     assert "--mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,config,flags,expected",
+    [
+        (
+            ["simulate"],
+            # string converted by the flag's type; mu: flag over config; x0: config over default
+            {"n": "80", "mu": 0.05, "steps": 20, "x0": 40, "burn-in": "2"},
+            ["--mu", "0.5"],
+            {"n_agents": 80, "mu": 0.5, "steps": 20, "x0": 40, "seed": 0, "burn_in": 2, "y": 5},
+        ),
+        (
+            ["reproduce", "--figure", "2right"],
+            # comma string and JSON list both become grids; runs: flag over config
+            {"mu-grid": "0.01,0.02,0.05", "n_grid": [60, 120], "steps": 30, "runs": 5, "seed": "4"},
+            ["--runs", "2"],
+            {"n_grid": [60, 120], "mu_grid": [0.01, 0.02, 0.05], "runs_per_cell": 2, "steps": 30, "y": 5},
+        ),
+    ],
+)
+def test_config_values_are_typed_and_ranked(tmp_path, command, config, flags, expected):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "out-dir": str(tmp_path / "out")}))
+    assert run_cli(*command, "--config", path, *flags) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    # compared as JSON text, so 80 and "80" or 2 and 2.0 differ
+    assert json.dumps(manifest["config"], sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert manifest["seed"] == int(config.get("seed", 0))
+
+
+# valid base commands; the flag appended last overrides the base value
+SIM_ARGS = ["simulate", "--n", 10, "--mu", 0.1, "--steps", 5]
+OPT_ARGS = ["optimize", "--A", 1, "--B", 1, "--mu", 0.1]
+LEFT_ARGS = ["reproduce", "--figure", "2left", "--targets", "2", "--n", 20, "--steps", 5, "--runs", 1]
+RIGHT_ARGS = ["reproduce", "--figure", "2right", "--n-grid", "20,40", "--mu-grid", "0.05,0.1", "--steps", 5, "--runs", 1]
+CURVE_ARGS = ["reproduce", "--figure", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (SIM_ARGS + ["--n", 0], "--n"),
+        (SIM_ARGS + ["--mu", 1.5], "--mu"),
+        (SIM_ARGS + ["--mu", "nan"], "--mu"),
+        (SIM_ARGS + ["--steps", 0], "--steps"),
+        (SIM_ARGS + ["--x0", 11], "--x0"),
+        (SIM_ARGS + ["--seed", -1], "--seed"),
+        (SIM_ARGS + ["--burn-in", 5], "--burn-in"),
+        (SIM_ARGS + ["--y", 0], "--y"),
+        (OPT_ARGS + ["--A", -1], "--A"),
+        (OPT_ARGS + ["--A", "inf"], "--A"),
+        (OPT_ARGS + ["--B", 0], "--B"),
+        (OPT_ARGS + ["--B", "nan"], "--B"),
+        (OPT_ARGS + ["--mu", 0], "--mu"),
+        (OPT_ARGS + ["--alpha", 0], "--alpha"),
+        (OPT_ARGS + ["--alpha", "nan"], "--alpha"),
+        (OPT_ARGS + ["--y-max", 0], "--y-max"),
+        (["reproduce", "--figure", "4"], "--figure"),
+        (LEFT_ARGS + ["--n", 0], "--n"),
+        (LEFT_ARGS + ["--runs", 0], "--runs"),
+        (LEFT_ARGS + ["--steps", 0], "--steps"),
+        (LEFT_ARGS + ["--targets", "2,200"], "--targets"),
+        (LEFT_ARGS + ["--seed", -1], "--seed"),
+        (RIGHT_ARGS + ["--mu-grid", "0.01"], "--mu-grid"),
+        (RIGHT_ARGS + ["--mu-grid", "0,0.01"], "--mu-grid"),
+        (RIGHT_ARGS + ["--n-grid", "20,0"], "--n-grid"),
+        (RIGHT_ARGS + ["--n-grid", "20"], "--n-grid"),
+        (RIGHT_ARGS + ["--runs", 0], "--runs"),
+        (RIGHT_ARGS + ["--steps", 0], "--steps"),
+        (RIGHT_ARGS + ["--y", 0], "--y"),
+        (CURVE_ARGS + ["--alpha", -1], "--alpha"),
+        (CURVE_ARGS + ["--alpha", "nan"], "--alpha"),
+        (CURVE_ARGS + ["--mu-grid", "0.1,2"], "--mu-grid"),
+        (CURVE_ARGS + ["--mu-grid", "0,0.1"], "--mu-grid"),
+        (CURVE_ARGS + ["--ab-ratios", "-10"], "--ab-ratios"),
+    ],
+)
+def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    extra = ["--out-dir", out] if argv[0] != "optimize" else []
+    assert run_cli(*argv, *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: "), err
+    assert "Traceback" not in err
+    assert not out.exists()

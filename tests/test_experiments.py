@@ -7,11 +7,10 @@ from longtail.experiments import (
     SweepSpec,
     derive_run_seed,
     log_binned_histogram,
-    run_inventory_curves,
     run_sales_distribution,
     run_turnover_sweep,
 )
-from longtail.inventory import closed_form_stock, InventoryParams
+from longtail.inventory import InventoryParams, closed_form_stock, inventory_curve
 
 SMALL_SPEC = SweepSpec(
     n_grid=(50, 100),
@@ -60,28 +59,20 @@ def test_sweep_per_mu_stats_shape():
         assert mean >= 0 and std >= 0
 
 
-def test_sweep_alpha_per_run_records():
-    spec = SweepSpec(
-        n_grid=(100,),
-        mu_grid=(0.02, 0.05, 0.1),
-        runs_per_cell=2,
-        steps=100,
-        y=3,
-        master_seed=5,
-        fit_alpha_per_run=True,
-    )
-    result, _ = run_turnover_sweep(spec)
-    for cell in result.cells:
-        assert cell.alpha_runs is not None
-        assert len(cell.alpha_runs) == 2
-        assert all(a > 1 for a in cell.alpha_runs)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(n_grid=(), mu_grid=(0.1,))
     with pytest.raises(ValueError):
         SweepSpec(runs_per_cell=0)
+    # the pooled fit needs 2 distinct positive mu values and 3 cells
+    with pytest.raises(ValueError, match="mu_grid"):
+        SweepSpec(mu_grid=(0.01, 0.01))
+    with pytest.raises(ValueError, match="mu_grid"):
+        SweepSpec(mu_grid=(0.0, 0.01))
+    with pytest.raises(ValueError, match="cells"):
+        SweepSpec(n_grid=(100,), mu_grid=(0.01, 0.02))
+    with pytest.raises(ValueError, match="n_grid"):
+        SweepSpec(n_grid=(100, 0))
 
 
 def test_log_binned_histogram_hand_case():
@@ -121,7 +112,8 @@ def test_sales_distribution_rejects_bad_target():
         run_sales_distribution(targets=(200.0,), n_agents=100, steps=50, replicates=1)
 
 
+
 def test_inventory_curves_delegate_matches_closed_form():
-    points = run_inventory_curves(alpha=3.5, ab_ratios=(100.0,), mu_grid=(0.01, 0.1))
+    points = inventory_curve(alpha=3.5, ab_ratios=(100.0,), mu_grid=(0.01, 0.1))
     params = InventoryParams(profit_per_item=100.0, turnover_cost=1.0, mu=0.1, alpha=3.5)
     assert points[1].y_value == closed_form_stock(params)[0]

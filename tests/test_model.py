@@ -11,18 +11,21 @@ from longtail.model import SimConfig, TopYSeries, init_state, rank_top, run, ste
 def test_init_one_product_per_agent():
     state = init_state(SimConfig(n_agents=4, mu=0.1, steps=10))
     assert state.period == 0
-    assert state.current_sales == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert state.product_ids.tolist() == [0, 1, 2, 3]
+    assert state.sales.tolist() == [1, 1, 1, 1]
     assert state.next_product_id == 4
 
 
 def test_init_even_split():
     state = init_state(SimConfig(n_agents=4, mu=0.1, steps=10, x0=2))
-    assert state.current_sales == {0: 2, 1: 2}
+    assert state.product_ids.tolist() == [0, 1]
+    assert state.sales.tolist() == [2, 2]
 
 
 def test_init_remainder_goes_to_lowest_ids():
     state = init_state(SimConfig(n_agents=5, mu=0.1, steps=10, x0=2))
-    assert state.current_sales == {0: 3, 1: 2}
+    assert state.product_ids.tolist() == [0, 1]
+    assert state.sales.tolist() == [3, 2]
 
 
 def test_init_cumulative_counts_period_zero_without_burn_in():
@@ -60,7 +63,8 @@ def test_step_mu_zero_is_absorbing():
     state = init_state(config)
     for _ in range(10):
         state = step(state, config, rng)
-        assert state.current_sales == {0: 20}
+        assert state.product_ids.tolist() == [0]
+        assert state.sales.tolist() == [20]
     assert state.next_product_id == 1
 
 
@@ -92,8 +96,9 @@ def test_run_is_deterministic():
     config = SimConfig(n_agents=100, mu=0.01, steps=10, seed=42)
     state_a, series_a = run(config, y=5)
     state_b, series_b = run(config, y=5)
-    assert state_a.cumulative_sales == state_b.cumulative_sales
-    assert state_a.current_sales == state_b.current_sales
+    assert state_a.cumulative.tolist() == state_b.cumulative.tolist()
+    assert state_a.product_ids.tolist() == state_b.product_ids.tolist()
+    assert state_a.sales.tolist() == state_b.sales.tolist()
     assert series_a.lists == series_b.lists
 
 
