@@ -125,6 +125,17 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+LIST_ITEM = {_int_list: int, _float_list: float}  # element type of each list-typed flag
+JSON_TYPES = {int: int, float: (int, float), str: str}  # JSON values a scalar flag type accepts
+
+
+def _from_json(kind: type, value):
+    """A JSON scalar converted by ``kind`` (int, float or str); ValueError for any other JSON type."""
+    if isinstance(value, bool) or not isinstance(value, JSON_TYPES[kind]):
+        raise ValueError
+    return kind(value)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -387,7 +398,8 @@ COMMANDS = {
         Flag("--ab-ratios", _float_list, DEFAULT_AB_RATIOS, "comma-separated A/B ratios for 3",
              ("ab_ratios", "profit_per_item")),
         Flag("--alpha", float, 3.5, "exponent of the shelf-size curves for 3", ("alpha",)),
-        Flag("--workers", int, 1, "worker processes for the 2right sweep"),
+        Flag("--workers", int, 1, "worker processes for the 2right sweep (at most one per cell and CPU)",
+             ("workers",)),
     )),
 }
 
@@ -416,7 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str, name: str) -> dict:
-    """Config values by dest: strings converted by the flag's type, lists as tuples, nulls dropped."""
+    """Config values by dest, converted as the flag's own text would be; nulls dropped.
+
+    A string goes through the flag's type; a list is accepted only by (and
+    required for any non-string value of) a list-typed flag; a number only
+    by an int flag when whole, or by a float flag; a boolean by no flag.
+    """
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -427,15 +444,19 @@ def _read_config(path: str, name: str) -> dict:
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             raise ValueError(f"--config: unknown key {key!r} for '{name}'")
-        if isinstance(value, str):
-            try:
-                value = flag.type(value)
-            except ValueError:
-                raise ValueError(f"{flag.name}: invalid value {value!r} in --config") from None
-        elif isinstance(value, list):
-            value = tuple(value)
-        if value is not None:
-            values[flag.dest] = value
+        if value is None:
+            continue
+        try:
+            if isinstance(value, str):
+                values[flag.dest] = flag.type(value)
+            elif flag.type in LIST_ITEM:
+                if not isinstance(value, list):
+                    raise ValueError
+                values[flag.dest] = tuple(_from_json(LIST_ITEM[flag.type], item) for item in value)
+            else:
+                values[flag.dest] = _from_json(flag.type, value)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{flag.name}: invalid value {json.dumps(value)} in --config") from None
     return values
 
 

@@ -16,6 +16,7 @@ worker processes without changing the output.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -128,10 +129,13 @@ def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepResult, 
     """Mean top-y turnover per (N, mu) cell plus the pooled log-log fit.
 
     Cells are independent; with ``workers > 1`` they are evaluated in a
-    process pool and merged back in cell order, so the result does not
-    depend on scheduling.
+    process pool of at most one worker per cell and per CPU, and merged back
+    in cell order, so the result does not depend on scheduling.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(spec, i, n, mu) for i, n, mu in spec.cells]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, tasks))

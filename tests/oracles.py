@@ -2,9 +2,12 @@
 
 These stay deliberately separate from the library code paths they check:
 the sampler draws from the target distribution by inverse CDF, the
-enumeration scans the stocking objective value by value, and the
-high-precision sum recomputes it with 50-digit arithmetic.
+enumeration scans the stocking objective value by value, the whole-array
+argmax takes one cumsum over every scanned rank, and the high-precision
+sum recomputes the objective with 50-digit arithmetic.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -23,6 +26,24 @@ def argmax_by_enumeration(params: InventoryParams, y_max: int) -> int:
     """Exhaustive scan of the stocking objective over 0..y_max."""
     values = [objective(y, params) for y in range(y_max + 1)]
     return int(np.argmax(values))
+
+
+def bruteforce_whole_array(params: InventoryParams) -> tuple[int, float]:
+    """(y, objective) of the stocking argmax from one cumsum over ranks 1..limit.
+
+    The same scan limit as ``bruteforce_stock`` (the marginal root, or y_max
+    when the root lies beyond it), but all ranks held in memory at once.
+    """
+    a, cost = params.profit_per_item, params.turnover_cost * math.sqrt(params.mu)
+    limit = 0
+    if a > 0.0:
+        root = (a / cost) ** (1.0 / params.alpha)
+        capped = not math.isfinite(root) or root >= params.y_max
+        limit = params.y_max if capped else min(params.y_max, math.ceil(root) + 1)
+    ranks = np.arange(1, limit + 1, dtype=float)
+    values = np.concatenate([[0.0], a * np.cumsum(np.power(ranks, -params.alpha)) - cost * ranks])
+    y = int(np.argmax(values))
+    return y, float(values[y])
 
 
 def objective_highprec(y: int, a, b, mu, alpha) -> mpmath.mpf:

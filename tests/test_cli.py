@@ -1,12 +1,18 @@
 """CLI surface: subcommands, output files, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from longtail.analysis import fit_alpha
-from longtail.cli import main
+from longtail.cli import COMMANDS, main
 from longtail.model import SimConfig, run as run_model
 
 
@@ -360,6 +366,13 @@ def test_missing_required_flag_exit_2(capsys):
             ["--runs", "2"],
             {"n_grid": [60, 120], "mu_grid": [0.01, 0.02, 0.05], "runs_per_cell": 2, "steps": 30, "y": 5},
         ),
+        (
+            ["simulate"],
+            # a JSON integer for a float flag becomes a float, as the flag's text would
+            {"n": 80, "mu": 1, "steps": 20},
+            [],
+            {"n_agents": 80, "mu": 1.0, "steps": 20, "x0": 80, "seed": 0, "burn_in": 0, "y": 5},
+        ),
     ],
 )
 def test_config_values_are_typed_and_ranked(tmp_path, command, config, flags, expected):
@@ -417,6 +430,8 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (CURVE_ARGS + ["--mu-grid", "0.1,2"], "--mu-grid"),
         (CURVE_ARGS + ["--mu-grid", "0,0.1"], "--mu-grid"),
         (CURVE_ARGS + ["--ab-ratios", "-10"], "--ab-ratios"),
+        (RIGHT_ARGS + ["--workers", 0], "--workers"),
+        (RIGHT_ARGS + ["--workers", -3], "--workers"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
@@ -427,3 +442,112 @@ def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert err.startswith(f"error: {flag}: "), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,config,flag",
+    [
+        (["simulate"], {"n": 1.5}, "--n"),
+        (["simulate"], {"n": True}, "--n"),
+        (["simulate"], {"n": [10]}, "--n"),
+        (["simulate"], {"mu": [0.1]}, "--mu"),
+        (["simulate"], {"mu": True}, "--mu"),
+        (["simulate"], {"mu": {"value": 0.1}}, "--mu"),
+        (["simulate"], {"mu": 10**400}, "--mu"),  # an integer past every float
+        (["simulate"], {"seed": 1e3}, "--seed"),
+        (["simulate"], {"steps": "1.5"}, "--steps"),
+        (["simulate"], {"out-dir": 7}, "--out-dir"),
+        (["reproduce"], {"figure": 3}, "--figure"),
+        (["reproduce", "--figure", "2right"], {"n-grid": 60}, "--n-grid"),
+        (["reproduce", "--figure", "2right"], {"n-grid": [60, 1.5]}, "--n-grid"),
+        (["reproduce", "--figure", "2right"], {"n-grid": [60, False]}, "--n-grid"),
+        (["reproduce", "--figure", "2right"], {"mu-grid": [0.01, "0.02"]}, "--mu-grid"),
+        (["reproduce", "--figure", "2right"], {"mu-grid": 0.01}, "--mu-grid"),
+        (["reproduce", "--figure", "2left"], {"targets": [[2]]}, "--targets"),
+        (["reproduce", "--figure", "2right"], {"workers": 2.0}, "--workers"),
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_2_naming_the_flag(tmp_path, capsys, argv, config, flag):
+    out = tmp_path / "out"
+    valid = {"out-dir": str(out), **({"n": 10, "mu": 0.1, "steps": 5} if argv == ["simulate"] else {})}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**valid, **config}))
+    assert run_cli(*argv, "--config", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: invalid value "), err
+    assert err.rstrip().endswith(" in --config"), err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: arbitrary flag values and --config contents
+
+# flags that set how much work a valid call does, with their largest value
+BOUNDED = {"--n": 200, "--steps": 20, "--y-max": 10**4}
+# no decimal digit in free text, so no string parses as a large bounded value
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
+
+
+# valid values of the required flags, so that drawn values also reach the library
+VALID_BASE = {
+    "simulate": ["--n", "50", "--mu", "0.1", "--steps", "5"],
+    "optimize": ["--A", "10", "--B", "1", "--mu", "0.25"],
+    "fit": [],
+    "turnover": ["--y", "2"],
+}
+
+
+def _numbers_and_text(flag):
+    # small numbers are often valid values; the rest mostly are not
+    ints = st.integers(max_value=BOUNDED[flag]) if flag in BOUNDED else st.integers()
+    numbers = ints | st.integers(0, 20) | st.floats() | st.floats(0, 1)
+    return numbers, NO_DIGITS if flag in BOUNDED else st.text(max_size=6)
+
+
+def _any_text(flag):
+    numbers, text = _numbers_and_text(flag)
+    return numbers.map(repr) | text
+
+
+def _any_json(flag):
+    numbers, text = _numbers_and_text(flag)
+    scalar = st.none() | st.booleans() | numbers | text
+    return scalar | st.lists(scalar, max_size=3)
+
+
+@st.composite
+def fuzz_calls(draw):
+    name = draw(st.sampled_from(sorted(VALID_BASE)))
+    # paths stay fixed so that no call writes outside its temporary directory
+    flags = [f.name for f in COMMANDS[name].flags if f.name not in ("--out-dir", "--input")]
+    argv = [name] + (VALID_BASE[name] if draw(st.booleans()) else [])
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
+        argv += [flag, draw(_any_text(flag))]  # the last value of a flag wins
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(flags), unique=True))
+        config = {key.lstrip("-"): draw(_any_json(key)) for key in keys}
+    return argv, config, draw(st.sampled_from(["sales.csv", "chart.csv", "missing.csv"]))
+
+
+@pytest.mark.filterwarnings("ignore")  # capped scans and float overflow warn; that is not a crash
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(call=fuzz_calls())
+def test_cli_never_crashes_on_arbitrary_values(call):
+    argv, config, input_name = call
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_lines(tmp / "sales.csv", "sales", ["1", "2", "3", "5", "8", "13"])
+        write_lines(tmp / "chart.csv", "period,product_id", chart_rows([[0, 1, 2], [1, 3, 2], [3, 4, 1]]))
+        if argv[0] == "simulate":
+            argv = argv + ["--out-dir", str(tmp / "out")]
+        elif argv[0] in ("fit", "turnover"):
+            argv = argv + ["--input", str(tmp / input_name)]
+        if config is not None:
+            (tmp / "config.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp / "config.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

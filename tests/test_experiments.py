@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from longtail import experiments
 from longtail.experiments import (
     SweepSpec,
     derive_run_seed,
@@ -49,6 +50,48 @@ def test_sweep_parallel_matches_serial():
     parallel, fit_parallel = run_turnover_sweep(SMALL_SPEC, workers=2)
     assert [c.z_bar_runs for c in serial.cells] == [c.z_bar_runs for c in parallel.cells]
     assert fit_serial.slope == fit_parallel.slope
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "workers,cpus,pool_size",
+    [
+        (10**9, 64, 4),  # clamped to the 4 cells
+        (10**9, 2, 2),  # clamped to the CPUs
+        (3, 64, 3),
+        (10**9, None, None),  # CPU count unknown: serial
+        (1, 64, None),
+    ],
+)
+def test_sweep_pool_is_clamped_to_cells_and_cpus(monkeypatch, workers, cpus, pool_size):
+    sizes = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers))
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    result, _ = run_turnover_sweep(SMALL_SPEC, workers=workers)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    serial, _ = run_turnover_sweep(SMALL_SPEC)
+    assert [c.z_bar_runs for c in result.cells] == [c.z_bar_runs for c in serial.cells]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_turnover_sweep(SMALL_SPEC, workers=workers)
 
 
 def test_sweep_per_mu_stats_shape():

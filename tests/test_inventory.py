@@ -1,20 +1,24 @@
 """Stocking objective, closed form vs exact argmax, and curve properties."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longtail import inventory
 from longtail.inventory import (
+    SCAN_BLOCK,
     InventoryParams,
     bruteforce_stock,
     closed_form_stock,
     inventory_curve,
     objective,
 )
-from oracles import argmax_by_enumeration, objective_highprec
+from oracles import argmax_by_enumeration, bruteforce_whole_array, objective_highprec
 
 
 def _params(a=10.0, b=1.0, mu=0.25, alpha=3.5, y_max=1_000_000):
@@ -101,6 +105,92 @@ def test_bruteforce_equals_enumeration(a, b, mu, alpha):
     assert result.y_bruteforce == argmax_by_enumeration(params, 300)
 
 
+# A/(B*sqrt(mu)) = 1e6 with alpha = 0.5 puts the marginal root at 1e12:
+# the objective still rises at y_max, so the scan covers all of 1..y_max
+CAPPED = dict(a=1000.0, b=0.01, mu=0.01, alpha=0.5)
+
+
+def assert_same_as_whole_array(params):
+    result = bruteforce_stock(params)
+    y, best = bruteforce_whole_array(params)
+    assert result.y_bruteforce == y
+    # repr: exact bits, and NaN equals NaN
+    assert repr(result.objective_at_optimum) == repr(best)
+
+
+@pytest.mark.filterwarnings("ignore:objective still increasing")
+@pytest.mark.parametrize(
+    "y_max",
+    [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 7, 200_003, 1_000_000],
+)
+def test_block_scan_matches_whole_array_when_capped(y_max):
+    params = _params(**CAPPED, y_max=y_max)
+    assert bruteforce_stock(params).y_bruteforce == y_max
+    assert_same_as_whole_array(params)
+
+
+@pytest.mark.filterwarnings("ignore:objective still increasing")
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(a=0.0),
+        dict(a=0.5, b=1.0, mu=0.25),  # A == B*sqrt(mu): y = 0 and 1 tie
+        dict(a=200_003.5, b=1.0, mu=1.0, alpha=1.0),  # optimum in the fourth block
+        dict(a=65_536.0, b=1.0, mu=1.0, alpha=1.0),  # exact tie of y = 65535 and 65536
+        pytest.param(  # A*sum and B*y overflow: inf from y = 2, NaN from y = 179770 on
+            dict(a=1.7e308, b=1e303, mu=1.0, alpha=0.1),
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+    ],
+)
+def test_block_scan_matches_whole_array(kwargs):
+    assert_same_as_whole_array(_params(**kwargs))
+
+
+def test_tie_across_a_block_boundary_goes_to_the_smaller_y():
+    # objective(65535) == objective(65536) exactly; with this block size they
+    # fall in different blocks
+    params = _params(a=65_536.0, b=1.0, mu=1.0, alpha=1.0)
+    with mock.patch.object(inventory, "SCAN_BLOCK", 65_535):
+        assert bruteforce_stock(params).y_bruteforce == 65_535
+        assert_same_as_whole_array(params)
+
+
+@pytest.mark.filterwarnings("ignore:objective still increasing")
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=1e4),
+    b=st.floats(min_value=1e-3, max_value=10.0),
+    mu=st.floats(min_value=1e-4, max_value=1.0),
+    alpha=st.floats(min_value=0.2, max_value=5.0),
+    y_max=st.integers(min_value=1, max_value=500),
+    block=st.integers(min_value=1, max_value=40),
+)
+def test_small_blocks_match_whole_array(a, b, mu, alpha, y_max, block):
+    params = _params(a, b, mu, alpha, y_max=y_max)
+    with mock.patch.object(inventory, "SCAN_BLOCK", block):
+        assert_same_as_whole_array(params)
+
+
+@pytest.mark.filterwarnings("ignore:objective still increasing")
+def test_capped_scan_memory_is_bounded():
+    params = _params(**CAPPED)
+    tracemalloc.start()
+    try:
+        bruteforce_stock(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # one float64 array over all 10^6 ranks is 8 MB
+
+
+def test_overflowing_marginal_root_caps_the_scan():
+    # (A/(B*sqrt(mu)))^(1/alpha) = 1e2000 is past every float
+    with pytest.warns(UserWarning, match="y_max"):
+        result = bruteforce_stock(_params(a=1e10, b=1e-10, mu=1.0, alpha=0.01, y_max=10))
+    assert result.y_bruteforce == 10
+
+
 def test_closed_form_unit_base():
     value, floor = closed_form_stock(_params(a=1.0, b=1.0, mu=1.0, alpha=3.5))
     assert value == pytest.approx(1.0, rel=1e-12)
@@ -142,6 +232,12 @@ def test_params_validation():
         _params(a=-1.0)
     with pytest.raises(ValueError, match="y_max"):
         _params(y_max=0)
+    # the ratio A/(B*sqrt(mu)) must be a float: both optimizers divide by it
+    with pytest.raises(ValueError, match="profit_per_item / "):
+        _params(a=1e300, b=1e-300, mu=1.0)
+    with pytest.raises(ValueError, match="profit_per_item / "):
+        _params(a=1.0, b=1e-300, mu=1e-300)  # B*sqrt(mu) underflows to 0
+    assert bruteforce_stock(_params(a=0.0, b=1e-300, mu=1e-300)).y_bruteforce == 0
 
 
 def test_curve_matches_single_point_evaluation():
