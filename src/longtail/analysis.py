@@ -79,7 +79,10 @@ def turnover(series: TopYSeries) -> TurnoverStats:
         z.append(len(current - prev))
         prev = current
     z_bar = sum(z) / len(z)
-    return TurnoverStats(z_per_period=z, z_bar=z_bar, as_fraction=z_bar / series.y)
+    # z_bar / y as one correctly rounded integer division: equal to the float
+    # quotient for every y < 2**53, with no OverflowError for a y past every float
+    num, den = z_bar.as_integer_ratio()
+    return TurnoverStats(z_per_period=z, z_bar=z_bar, as_fraction=num / (den * series.y))
 
 
 def expected_turnover(y: int, mu: float) -> float:

@@ -110,6 +110,11 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
     decreasing in y, so the objective is unimodal: the search only needs to
     cover ranks up to the root of the marginal condition. Ties resolve to
     the smaller y. Warns when the objective is still increasing at y_max.
+
+    Raises ValueError when either term of the objective overflows float64
+    within the scan (inf - inf would read as NaN and win the argmax): the
+    cost term is checked at the scan limit before the scan, the profit term
+    at the end of each block, since both grow with y.
     """
     a, b = params.profit_per_item, params.turnover_cost
     cost = b * math.sqrt(params.mu)
@@ -129,6 +134,12 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
         else:
             limit = min(params.y_max, math.ceil(marginal_root) + 1)
 
+    if not math.isfinite(cost * limit):
+        raise ValueError(
+            f"turnover_cost * sqrt(mu) * y overflows float64 at the scan limit y = {limit} "
+            f"(y_max {params.y_max}): {b} * sqrt({params.mu}) * {limit}"
+        )
+
     y_star, best = 0, 0.0  # the empty shelf
     total = 0.0  # sum of i^-alpha over the ranks already scanned
     for lo in range(1, limit + 1, SCAN_BLOCK):
@@ -136,15 +147,17 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
         # the running total leads the block, so each partial sum adds its
         # terms in the same order as one cumsum over ranks 1..limit
         sums = np.cumsum(np.concatenate(([total], np.power(ranks, -params.alpha))))
-        total = sums[-1]
+        total = float(sums[-1])
+        if not math.isfinite(a * total):
+            raise ValueError(
+                f"profit_per_item * sum of i^-alpha overflows float64 by y = {lo + ranks.size - 1} "
+                f"(y_max {params.y_max}): {a} * {total}"
+            )
         values = a * sums[1:] - cost * ranks
-        # first occurrence, with a NaN (overflow) counting as the maximum as
-        # in np.argmax, so ties resolve to the smaller y across blocks too
+        # first occurrence, so ties resolve to the smaller y across blocks too
         i = int(np.argmax(values))
-        if not values[i] <= best:
+        if values[i] > best:
             y_star, best = lo + i, float(values[i])
-        if math.isnan(best):
-            break
 
     cf_value, cf_floor = closed_form_stock(params)
     return InventoryResult(

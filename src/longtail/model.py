@@ -11,6 +11,11 @@ Randomness comes from numpy's PCG64 generator seeded from ``SimConfig.seed``;
 the draw order inside a step is fixed (innovator-count coin flip first, then
 one block of copier draws), which makes trajectories bit-reproducible for a
 given (config, seed) on any platform.
+
+Copiers are sampled through an owner table of N entries, one per agent,
+holding the product that agent bought in the previous period (products in
+id order, each repeated as often as it sold). A uniform draw below N picks
+an agent, and the table gives its product in one lookup, with no search.
 """
 
 from __future__ import annotations
@@ -116,8 +121,13 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     The innovator count k is floor(mu*N) plus a Bernoulli draw on the
     fractional part, so E[k] = mu*N exactly. The other N-k agents each pick
     a product with probability proportional to its previous-period sales,
-    sampled exactly by drawing uniform integers below N against the
-    cumulative integer weight table (rebuilt every step).
+    sampled exactly by drawing uniform integers below N and reading each off
+    the owner table: entry a of ``repeat(arange(L), sales)`` is the position
+    of the product that agent a bought last period. Draw d lands on product
+    i exactly when sales[0] + ... + sales[i-1] <= d < sales[0] + ... +
+    sales[i], the product a right-sided binary search of the running sales
+    totals finds (zero-sale products included), so with the same draws the
+    trajectories match that sampler's bit for bit.
     """
     n = config.n_agents
     mu_n = config.mu * n
@@ -128,17 +138,20 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
 
     n_copiers = n - k
     if n_copiers > 0:
-        cum_weights = np.cumsum(state.sales)
+        owner = np.repeat(np.arange(state.sales.size), state.sales)
         draws = rng.integers(0, n, size=n_copiers)
-        chosen = np.searchsorted(cum_weights, draws, side="right")
-        counts = np.bincount(chosen, minlength=state.sales.size).astype(np.int64)
+        np.take(owner, draws, out=draws)  # each draw becomes its product's position
+        del owner
+        counts = np.bincount(draws, minlength=state.sales.size)
+        del draws
     else:
         counts = np.zeros(state.sales.size, dtype=np.int64)
 
     survived = counts > 0
+    sales = np.concatenate([counts[survived], np.ones(k, dtype=np.int64)])
+    del counts
     new_ids = np.arange(state.next_product_id, state.next_product_id + k, dtype=np.int64)
     product_ids = np.concatenate([state.product_ids[survived], new_ids])
-    sales = np.concatenate([counts[survived], np.ones(k, dtype=np.int64)])
 
     period = state.period + 1
     next_id = state.next_product_id + k

@@ -101,6 +101,25 @@ def test_turnover_single_entrant():
     assert stats.z_per_period == [1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    entrants=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=20),
+    y=st.integers(min_value=1, max_value=2**53 - 1),
+)
+def test_turnover_fraction_is_the_float_quotient(entrants, y):
+    # every period lists only new ids, so z_t is the length of list t
+    lists = [[]] + [list(range(1000 * t, 1000 * t + n)) for t, n in enumerate(entrants, start=1)]
+    stats = turnover(TopYSeries(y=y, lists=lists))
+    assert stats.z_per_period == entrants
+    assert stats.as_fraction == stats.z_bar / y
+
+
+def test_turnover_fraction_for_a_y_beyond_every_float():
+    stats = turnover(TopYSeries(y=10**400, lists=[[1], [2]]))
+    assert stats.z_bar == 1.0
+    assert stats.as_fraction == 0.0  # 1e-400 underflows
+
+
 def test_turnover_needs_two_periods():
     with pytest.raises(InsufficientDataError):
         turnover(TopYSeries(y=3, lists=[[1, 2, 3]]))

@@ -51,6 +51,14 @@ def test_simulate_writes_expected_files(tmp_path):
     assert all(0 <= int(r["new_entries"]) <= 5 for r in rows)
 
 
+def test_simulate_with_a_y_beyond_every_float(tmp_path, capsys):
+    # the turnover fraction z_bar / y raised OverflowError after the whole run
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--n", 10, "--mu", 0.1, "--steps", 5, "--y", 10**400, "--out-dir", out) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["config"]["y"] == 10**400
+
+
 def test_simulate_reruns_byte_identical(tmp_path):
     args = ["simulate", "--n", 150, "--mu", 0.02, "--steps", 40, "--seed", 3, "--y", 4]
     assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
@@ -432,6 +440,12 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (CURVE_ARGS + ["--ab-ratios", "-10"], "--ab-ratios"),
         (RIGHT_ARGS + ["--workers", 0], "--workers"),
         (RIGHT_ARGS + ["--workers", -3], "--workers"),
+        # the objective overflows float64 at y = 2; it printed y 2 and a NaN objective
+        (OPT_ARGS + ["--A", 1.7e308, "--B", 1.7e308, "--mu", 1, "--alpha", 0.1], "--B"),
+        pytest.param(
+            OPT_ARGS + ["--A", 1.7e308, "--mu", 1, "--alpha", 0.1, "--y-max", 10], "--A",
+            marks=pytest.mark.filterwarnings("ignore:objective still increasing"),
+        ),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):

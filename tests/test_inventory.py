@@ -111,11 +111,14 @@ CAPPED = dict(a=1000.0, b=0.01, mu=0.01, alpha=0.5)
 
 
 def assert_same_as_whole_array(params):
-    result = bruteforce_stock(params)
     y, best = bruteforce_whole_array(params)
+    if not math.isfinite(best):  # an overflowing objective is refused, not answered
+        with pytest.raises(ValueError, match="overflows float64"):
+            bruteforce_stock(params)
+        return
+    result = bruteforce_stock(params)
     assert result.y_bruteforce == y
-    # repr: exact bits, and NaN equals NaN
-    assert repr(result.objective_at_optimum) == repr(best)
+    assert repr(result.objective_at_optimum) == repr(best)  # exact bits
 
 
 @pytest.mark.filterwarnings("ignore:objective still increasing")
@@ -137,10 +140,12 @@ def test_block_scan_matches_whole_array_when_capped(y_max):
         dict(a=0.5, b=1.0, mu=0.25),  # A == B*sqrt(mu): y = 0 and 1 tie
         dict(a=200_003.5, b=1.0, mu=1.0, alpha=1.0),  # optimum in the fourth block
         dict(a=65_536.0, b=1.0, mu=1.0, alpha=1.0),  # exact tie of y = 65535 and 65536
-        pytest.param(  # A*sum and B*y overflow: inf from y = 2, NaN from y = 179770 on
+        pytest.param(  # A*sum and B*y overflow (inf from y = 2, NaN from y = 179770 on): refused
             dict(a=1.7e308, b=1e303, mu=1.0, alpha=0.1),
             marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
         ),
+        # A*y_max overflows, but A*sum(i^-3.5) ~ 1.13e308 does not: answered
+        dict(a=1e308, b=1.0, mu=1.0, alpha=3.5, y_max=1000),
     ],
 )
 def test_block_scan_matches_whole_array(kwargs):
@@ -182,6 +187,24 @@ def test_capped_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000  # one float64 array over all 10^6 ranks is 8 MB
+
+
+@pytest.mark.filterwarnings("ignore:objective still increasing")
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        # inf - inf at y = 2 read as NaN and won: y 2, objective NaN; exactly, y = 0
+        (dict(a=1.7e308, b=1.7e308, mu=1.0, alpha=0.1), "turnover_cost"),
+        (dict(a=1e308, b=1e303, mu=1.0, alpha=0.5), "turnover_cost"),  # B * y_max = 1e309
+        # A*sum reaches inf at y = 2 while B*y stays finite: y 2, objective inf
+        (dict(a=1.7e308, b=1.0, mu=1.0, alpha=0.1, y_max=10), "profit_per_item"),
+        # sum(i^-0.1) is 24020 at the end of the first block, 65567 at y = 200003
+        (dict(a=5e303, b=1.0, mu=1.0, alpha=0.1, y_max=200_003), "profit_per_item"),
+    ],
+)
+def test_overflowing_objective_is_refused(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} .* overflows float64"):
+        bruteforce_stock(_params(**kwargs))
 
 
 def test_overflowing_marginal_root_caps_the_scan():

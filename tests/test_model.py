@@ -1,11 +1,14 @@
 """Core simulator: initialization, stepping rules, invariants, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longtail.model import SimConfig, TopYSeries, init_state, rank_top, run, step
+from oracles import step_searchsorted
 
 
 def test_init_one_product_per_agent():
@@ -157,6 +160,54 @@ def test_trajectory_invariants(n_agents, mu, steps, seed, x0_fraction, burn_in_f
         previous_live = live
     assert state.next_product_id == created
     assert len(state.cumulative) == created
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_agents=st.integers(min_value=1, max_value=2000),
+    mu=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    steps=st.integers(min_value=1, max_value=15),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    x0_fraction=st.floats(min_value=0.0, max_value=1.0),
+    burn_in_fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(n_agents=1, mu=0.5, steps=4, seed=0, x0_fraction=1.0, burn_in_fraction=0.0)
+@example(n_agents=7, mu=0.0, steps=6, seed=1, x0_fraction=0.0, burn_in_fraction=0.0)
+@example(n_agents=7, mu=1.0, steps=6, seed=2, x0_fraction=1.0, burn_in_fraction=0.0)
+@example(n_agents=2000, mu=0.003, steps=15, seed=3, x0_fraction=0.3, burn_in_fraction=0.5)
+def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
+    x0 = max(1, round(x0_fraction * n_agents))
+    burn_in = min(steps - 1, round(burn_in_fraction * (steps - 1)))
+    config = SimConfig(n_agents=n_agents, mu=mu, steps=steps, x0=x0, seed=seed, burn_in=burn_in)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = oracle = init_state(config)
+    names = ("product_ids", "sales", "cumulative")
+    for _ in range(steps):
+        previous = state
+        before = [getattr(previous, name).copy() for name in names]
+        state = step(previous, config, rng)
+        oracle = step_searchsorted(oracle, config, oracle_rng)
+        for name, array in zip(names, before):  # the input state is left as it was
+            assert np.array_equal(getattr(previous, name), array), name
+        assert state.period == oracle.period
+        for name in names:
+            got, want = getattr(state, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert state.next_product_id == oracle.next_product_id
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_step_memory_is_bounded():
+    config = SimConfig(n_agents=100_000, mu=0.001, steps=1)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        step(init_state(config), config, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # init_state holds three 0.8 MB arrays; the searchsorted kernel peaked at 8.0 MB
+    assert peak < 6_000_000
 
 
 def test_winner_take_all_contrast_fast():
