@@ -27,8 +27,9 @@ def load_chart(path: str | Path) -> list[list[int]]:
             raise ValueError(
                 f"{path}: header must be 'period,product_id[,sales]', got {','.join(header)}"
             )
-        by_period: dict[int, list[int]] = {}
-        seen: set[tuple[int, int]] = set()
+        # each period's ids are the keys of a dict: an insertion-ordered set,
+        # so one lookup finds a duplicate and the keys keep the rank order
+        by_period: dict[int, dict[int, None]] = {}
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
@@ -36,14 +37,14 @@ def load_chart(path: str | Path) -> list[list[int]]:
                 period, product_id = int(row[0]), int(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: period and product_id must be integers") from None
-            if (period, product_id) in seen:
+            ids = by_period.setdefault(period, {})
+            if product_id in ids:
                 raise ValueError(f"{path}:{line_no}: duplicate entry for period {period}, product {product_id}")
-            seen.add((period, product_id))
-            by_period.setdefault(period, []).append(product_id)
+            ids[product_id] = None
 
     if not by_period:
         raise ValueError(f"{path}: chart file has no data rows")
     periods = sorted(by_period)
     if periods != list(range(periods[0], periods[0] + len(periods))):
         raise ValueError(f"{path}: periods must be consecutive integers, got gaps in {periods[0]}..{periods[-1]}")
-    return [by_period[p] for p in periods]
+    return [list(by_period[p]) for p in periods]

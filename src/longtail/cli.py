@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -117,6 +118,19 @@ def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict,
     _write_json(out_dir / "manifest.json", manifest)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise OSError naming --out-dir, before any compute, when out_dir cannot be written.
+
+    The nearest existing ancestor of out_dir (out_dir itself if it exists)
+    must be a directory this process may write into.
+    """
+    ancestor = out_dir.absolute()
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise OSError(f"--out-dir: {ancestor} is not a writable directory, so {out_dir} cannot be written")
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -142,6 +156,7 @@ def _from_json(kind: type, value):
 def cmd_simulate(a) -> int:
     started = time.monotonic()
     config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
+    _check_out_dir(Path(a.out_dir))
     state, series = run(config, y=a.y)
     stats = turnover(series)
     files = {
@@ -325,6 +340,7 @@ def cmd_reproduce(a) -> int:
     started = time.monotonic()
     if a.figure not in PRESETS:
         raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {a.figure!r}")
+    _check_out_dir(Path(a.out_dir))
     config, files = PRESETS[a.figure](a)
     _write_outputs(Path(a.out_dir), f"reproduce {a.figure}", config, a.seed, files, started)
     return 0

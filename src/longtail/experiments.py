@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import (
+    InsufficientDataError,
     LogLogFit,
     PowerLawFit,
     fit_alpha,
@@ -66,6 +67,9 @@ class SweepSpec:
             raise ValueError("n_grid and mu_grid must span at least 3 cells for the turnover fit")
         if self.runs_per_cell < 1:
             raise ValueError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
+        # y scales the float reference line y*sqrt(mu) drawn beside the cells
+        if not 1 <= self.y <= sys.float_info.max:
+            raise ValueError(f"y must be >= 1 and at most the largest float, got {self.y}")
 
     @property
     def cells(self) -> list[tuple[int, int, float]]:
@@ -130,17 +134,28 @@ def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepResult, 
 
     Cells are independent; with ``workers > 1`` they are evaluated in a
     process pool of at most one worker per cell and per CPU, and merged back
-    in cell order, so the result does not depend on scheduling.
+    in cell order, so the result does not depend on scheduling. Raises
+    InsufficientDataError, naming the cell, when a cell saw no turnover.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(spec, i, n, mu) for i, n, mu in spec.cells]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery (multiprocessing, subprocess,
+        # socket, logging) costs about 2 MB and 15 ms that serial calls skip
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, tasks))
     else:
         cells = [_run_cell(t) for t in tasks]
+    for c in cells:
+        if c.z_bar == 0.0:
+            raise InsufficientDataError(
+                f"no list turnover in the cell N={c.n_agents}, mu={c.mu} over {spec.runs_per_cell} "
+                f"run(s) of {spec.steps} steps; the log-log fit needs z_bar > 0 in every cell"
+            )
     fit = fit_turnover_exponent([(c.mu, c.z_bar) for c in cells])
     return SweepResult(spec=spec, cells=cells), fit
 

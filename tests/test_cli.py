@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from longtail import cli
 from longtail.analysis import fit_alpha
 from longtail.cli import COMMANDS, main
 from longtail.model import SimConfig, run as run_model
@@ -314,6 +315,39 @@ def test_reproduce_sales_distribution_conserves_products(tmp_path):
     assert (out / "sales_distribution.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", 10, "--mu", 0.1, "--steps", 5],
+        ["reproduce", "--figure", "2left", "--targets", "2", "--n", 20, "--steps", 5, "--runs", 1],
+        ["reproduce", "--figure", "2right", "--n-grid", "20,40", "--mu-grid", "0.05,0.1", "--steps", 5, "--runs", 1],
+        ["reproduce", "--figure", "3"],
+    ],
+)
+def test_unwritable_out_dir_is_refused_before_the_compute(tmp_path, capsys, monkeypatch, argv):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the compute ran before --out-dir was checked")
+
+    for name in ("run", "run_turnover_sweep", "run_sales_distribution", "inventory_curve"):
+        monkeypatch.setattr(cli, name, no_compute)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    assert run_cli(*argv, "--out-dir", blocker / "sub" / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out-dir: {blocker} is not a writable directory"), err
+    assert blocker.read_text() == "not a directory"
+
+
+def test_reproduce_cell_without_turnover_exits_4_naming_it(tmp_path, capsys):
+    # it exited 2 with an unflagged "all mu and z_bar values must be positive"
+    out = tmp_path / "out"
+    argv = ["reproduce", "--figure", "2right", "--n-grid", 3, "--mu-grid", "0.001,0.002,0.003", "--steps", 2, "--runs", 1]
+    assert run_cli(*argv, "--out-dir", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: no list turnover in the cell N=3, mu=0.001 "), err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     assert run_cli("--version") == 0
     assert "longtail" in capsys.readouterr().out
@@ -446,6 +480,11 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
             OPT_ARGS + ["--A", 1.7e308, "--mu", 1, "--alpha", 0.1, "--y-max", 10], "--A",
             marks=pytest.mark.filterwarnings("ignore:objective still increasing"),
         ),
+        # a zero ratio stocks nothing; it failed in the plot, after the compute, unflagged
+        (CURVE_ARGS + ["--ab-ratios", "0"], "--ab-ratios"),
+        (CURVE_ARGS + ["--ab-ratios", "10,-0.0"], "--ab-ratios"),
+        # the y*sqrt(mu) reference line raised OverflowError after the sweep
+        (RIGHT_ARGS + ["--y", 10**400], "--y"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
@@ -497,17 +536,31 @@ def test_config_value_of_the_wrong_type_exits_2_naming_the_flag(tmp_path, capsys
 # fuzz: arbitrary flag values and --config contents
 
 # flags that set how much work a valid call does, with their largest value
-BOUNDED = {"--n": 200, "--steps": 20, "--y-max": 10**4}
+# (of each element, for --n-grid)
+BOUNDED = {"--n": 200, "--steps": 20, "--y-max": 10**4, "--runs": 2, "--n-grid": 200}
+# comma-separated flags; a drawn value holds at most 3 elements
+LIST_FLAGS = ("--n-grid", "--mu-grid", "--targets", "--ab-ratios")
 # no decimal digit in free text, so no string parses as a large bounded value
 NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
+# reproduce's work-sizing flags, passed first with these small values unless
+# the drawn --config sets them; a drawn flag value follows and wins
+REPRODUCE_SIZES = {
+    "--steps": "5", "--runs": "1", "--n": "50", "--n-grid": "20,40",
+    "--mu-grid": "0.05,0.1", "--targets": "1,2", "--ab-ratios": "10,100",
+}
+# set by the fuzz itself: paths stay in the temporary directory and the
+# sweep runs in-process (--workers is left at its default of 1)
+NOT_DRAWN = ("--out-dir", "--input", "--workers")
 
 
-# valid values of the required flags, so that drawn values also reach the library
+# valid values of the required flags (a string, or a strategy to draw it
+# from), so that drawn values also reach the library
 VALID_BASE = {
     "simulate": ["--n", "50", "--mu", "0.1", "--steps", "5"],
     "optimize": ["--A", "10", "--B", "1", "--mu", "0.25"],
     "fit": [],
     "turnover": ["--y", "2"],
+    "reproduce": ["--figure", st.sampled_from(sorted(cli.PRESETS))],
 }
 
 
@@ -515,11 +568,16 @@ def _numbers_and_text(flag):
     # small numbers are often valid values; the rest mostly are not
     ints = st.integers(max_value=BOUNDED[flag]) if flag in BOUNDED else st.integers()
     numbers = ints | st.integers(0, 20) | st.floats() | st.floats(0, 1)
-    return numbers, NO_DIGITS if flag in BOUNDED else st.text(max_size=6)
+    text = NO_DIGITS if flag in BOUNDED else st.text(max_size=6)
+    if flag == "--figure":
+        text = st.sampled_from(sorted(cli.PRESETS)) | text
+    return numbers, text
 
 
 def _any_text(flag):
     numbers, text = _numbers_and_text(flag)
+    if flag in LIST_FLAGS:
+        return st.lists(numbers.map(repr), min_size=1, max_size=3).map(",".join) | text
     return numbers.map(repr) | text
 
 
@@ -532,15 +590,20 @@ def _any_json(flag):
 @st.composite
 def fuzz_calls(draw):
     name = draw(st.sampled_from(sorted(VALID_BASE)))
-    # paths stay fixed so that no call writes outside its temporary directory
-    flags = [f.name for f in COMMANDS[name].flags if f.name not in ("--out-dir", "--input")]
-    argv = [name] + (VALID_BASE[name] if draw(st.booleans()) else [])
+    flags = [f.name for f in COMMANDS[name].flags if f.name not in NOT_DRAWN]
+    argv = [name]
+    if draw(st.booleans()):
+        argv += [v if isinstance(v, str) else draw(v) for v in VALID_BASE[name]]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
         argv += [flag, draw(_any_text(flag))]  # the last value of a flag wins
     config = None
     if draw(st.booleans()):
         keys = draw(st.lists(st.sampled_from(flags), unique=True))
         config = {key.lstrip("-"): draw(_any_json(key)) for key in keys}
+    if name == "reproduce":
+        sizes = [f for flag, value in REPRODUCE_SIZES.items() if flag.lstrip("-") not in (config or {})
+                 for f in (flag, value)]
+        argv = argv[:1] + sizes + argv[1:]
     return argv, config, draw(st.sampled_from(["sales.csv", "chart.csv", "missing.csv"]))
 
 
@@ -553,7 +616,7 @@ def test_cli_never_crashes_on_arbitrary_values(call):
         tmp = Path(tmp)
         write_lines(tmp / "sales.csv", "sales", ["1", "2", "3", "5", "8", "13"])
         write_lines(tmp / "chart.csv", "period,product_id", chart_rows([[0, 1, 2], [1, 3, 2], [3, 4, 1]]))
-        if argv[0] == "simulate":
+        if argv[0] in ("simulate", "reproduce"):
             argv = argv + ["--out-dir", str(tmp / "out")]
         elif argv[0] in ("fit", "turnover"):
             argv = argv + ["--input", str(tmp / input_name)]

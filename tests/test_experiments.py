@@ -1,9 +1,16 @@
 """Ensemble drivers: seed derivation, reproducibility, histograms, sweeps."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from longtail import experiments
+from longtail.analysis import InsufficientDataError
 from longtail.experiments import (
     SweepSpec,
     derive_run_seed,
@@ -80,12 +87,41 @@ class RecordingPool:
 )
 def test_sweep_pool_is_clamped_to_cells_and_cpus(monkeypatch, workers, cpus, pool_size):
     sizes = []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers))
+    # run_turnover_sweep imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers)
+    )
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     result, _ = run_turnover_sweep(SMALL_SPEC, workers=workers)
     assert sizes == ([] if pool_size is None else [pool_size])
     serial, _ = run_turnover_sweep(SMALL_SPEC)
     assert [c.z_bar_runs for c in result.cells] == [c.z_bar_runs for c in serial.cells]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a serial call never needs multiprocessing; importing it cost about 2 MB
+    import longtail
+
+    src = Path(longtail.__file__).resolve().parents[1]
+    probe = (
+        "import sys, longtail.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', 'numpy.random') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_sweep_names_a_cell_without_turnover():
+    # 2 steps at N = 3 and mu <= 0.003 see no new product: z_bar is 0, which
+    # the log-log fit cannot take
+    spec = SweepSpec(n_grid=(3,), mu_grid=(0.001, 0.002, 0.003), runs_per_cell=1, steps=2)
+    with pytest.raises(InsufficientDataError, match=r"cell N=3, mu=0\.001 "):
+        run_turnover_sweep(spec)
 
 
 @pytest.mark.parametrize("workers", [0, -2])

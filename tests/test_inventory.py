@@ -124,7 +124,10 @@ def assert_same_as_whole_array(params):
 @pytest.mark.filterwarnings("ignore:objective still increasing")
 @pytest.mark.parametrize(
     "y_max",
-    [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 7, 200_003, 1_000_000],
+    # one block of 65 536 ranks -1/+0/+1 and 3 blocks + 7, then the same
+    # around the current SCAN_BLOCK
+    [1, 65_535, 65_536, 65_537, 196_615, 200_003, 1_000_000]
+    + [SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 7],
 )
 def test_block_scan_matches_whole_array_when_capped(y_max):
     params = _params(**CAPPED, y_max=y_max)
@@ -138,7 +141,7 @@ def test_block_scan_matches_whole_array_when_capped(y_max):
     [
         dict(a=0.0),
         dict(a=0.5, b=1.0, mu=0.25),  # A == B*sqrt(mu): y = 0 and 1 tie
-        dict(a=200_003.5, b=1.0, mu=1.0, alpha=1.0),  # optimum in the fourth block
+        dict(a=200_003.5, b=1.0, mu=1.0, alpha=1.0),  # optimum at y = 200 003, many blocks in
         dict(a=65_536.0, b=1.0, mu=1.0, alpha=1.0),  # exact tie of y = 65535 and 65536
         pytest.param(  # A*sum and B*y overflow (inf from y = 2, NaN from y = 179770 on): refused
             dict(a=1.7e308, b=1e303, mu=1.0, alpha=0.1),
@@ -190,6 +193,20 @@ def test_capped_scan_memory_is_bounded():
 
 
 @pytest.mark.filterwarnings("ignore:objective still increasing")
+def test_capped_scan_stays_below_one_megabyte():
+    # reads 0.27 MB: four block buffers of 8192 float64; blocks of 65 536
+    # ranks with a fresh array per step peaked at 2.6 MB
+    params = _params(**CAPPED)
+    tracemalloc.start()
+    try:
+        bruteforce_stock(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.filterwarnings("ignore:objective still increasing")
 @pytest.mark.parametrize(
     "kwargs,field",
     [
@@ -198,7 +215,7 @@ def test_capped_scan_memory_is_bounded():
         (dict(a=1e308, b=1e303, mu=1.0, alpha=0.5), "turnover_cost"),  # B * y_max = 1e309
         # A*sum reaches inf at y = 2 while B*y stays finite: y 2, objective inf
         (dict(a=1.7e308, b=1.0, mu=1.0, alpha=0.1, y_max=10), "profit_per_item"),
-        # sum(i^-0.1) is 24020 at the end of the first block, 65567 at y = 200003
+        # A*sum(i^-0.1) passes the largest float at y = 102590, blocks after the first
         (dict(a=5e303, b=1.0, mu=1.0, alpha=0.1, y_max=200_003), "profit_per_item"),
     ],
 )
@@ -285,3 +302,10 @@ def test_curve_monotone_increasing_in_ab_ratio():
 def test_curve_rejects_nonpositive_mu():
     with pytest.raises(ValueError, match="mu"):
         inventory_curve(mu_grid=(0.0, 0.1))
+
+
+@pytest.mark.parametrize("ab", [0.0, -10.0, float("nan")])
+def test_curve_rejects_a_nonpositive_ratio(ab):
+    # a zero ratio stocks nothing, so its curve had no point on the log-log plot
+    with pytest.raises(ValueError, match="^ab_ratios values must be > 0"):
+        inventory_curve(ab_ratios=(10.0, ab))
