@@ -30,7 +30,6 @@ from .inventory import (
     bruteforce_stock,
     closed_form_stock,
     inventory_curve,
-    objective,
 )
 from .model import SimConfig, SimState, TopYSeries, init_state, rank_top, run, step
 
@@ -59,7 +58,6 @@ __all__ = [
     "init_state",
     "inventory_curve",
     "log_binned_histogram",
-    "objective",
     "rank_top",
     "run",
     "run_sales_distribution",

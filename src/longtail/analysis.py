@@ -54,9 +54,12 @@ def fit_alpha(samples: Iterable[float], s_min: float = 1) -> PowerLawFit:
     as continuous values; for heavy-tailed data spanning several decades the
     approximation error is small compared to the sampling error.
     """
-    if s_min < 1:
-        raise ValueError(f"s_min must be >= 1, got {s_min}")
-    s = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
+    if not 1 <= s_min < math.inf:
+        raise ValueError(f"s_min must be finite and >= 1, got {s_min}")
+    try:
+        s = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
+    except OverflowError:
+        raise ValueError("a sample exceeds the largest float") from None
     s = s[s >= s_min]
     n = int(s.size)
     if n < 2:

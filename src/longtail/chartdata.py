@@ -1,45 +1,86 @@
-"""Reading ranked best-seller chart files.
+"""Reading and writing the CSV data files: the one module that knows their format.
 
-A chart file is a CSV with header ``period,product_id`` or
-``period,product_id,sales``; one row per charted item per period, with row
-order inside a period encoding the rank. Periods must be consecutive
-integers and a (period, product_id) pair may appear only once.
+A file has a header row and CRLF line ends; floats are written with 17
+significant digits, so values round-trip exactly. A chart file has header
+``period,product_id[,sales]`` and one row per item per period in rank order,
+with consecutive periods and no repeated (period, product_id) pair. Errors
+name ``<path>:<line>``, where the bad record ends, or ``<path>`` for bad bytes.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 
 CHART_HEADERS = (["period", "product_id"], ["period", "product_id", "sales"])
 
 
-def load_chart(path: str | Path) -> list[list[int]]:
-    """Per-period ranked product-id lists from a chart CSV."""
-    path = Path(path)
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Stream a header and rows; no cell needs quoting, so the bytes are the csv module's default dialect."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            ",".join([format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row]) + "\r\n"
+            for row in rows
+        )
+
+
+@contextmanager
+def _csv_reader(path: Path):
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty chart file") from None
+            yield reader
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def read_sales_column(path: Path) -> list[int]:
+    """The 'sales' (else 'cumulative_sales') column; blank lines are skipped, a repeated name reads its last."""
+    with _csv_reader(path) as reader:
+        header = next(reader, [])
+        column = next((c for c in ("sales", "cumulative_sales") if c in header), None)
+        if column is None:
+            raise ValueError(f"{path}: no 'sales' or 'cumulative_sales' column (found: {','.join(header)})")
+        index = len(header) - 1 - header[::-1].index(column)
+        values = []
+        for row in filter(None, reader):
+            raw = row[index] if index < len(row) else None
+            try:
+                value = int(raw)
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{reader.line_num}: sales value {raw!r} is not an integer") from None
+            if value < 0:
+                raise ValueError(f"{path}:{reader.line_num}: sales value {value} is negative")
+            values.append(value)
+    return values
+
+
+def load_chart(path: str | Path) -> list[list[int]]:
+    """Per-period ranked product-id lists from a chart CSV."""
+    path = Path(path)
+    with _csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty chart file")
         if header not in CHART_HEADERS:
-            raise ValueError(
-                f"{path}: header must be 'period,product_id[,sales]', got {','.join(header)}"
-            )
+            raise ValueError(f"{path}: header must be 'period,product_id[,sales]', got {','.join(header)}")
         # each period's ids are the keys of a dict: an insertion-ordered set,
         # so one lookup finds a duplicate and the keys keep the rank order
         by_period: dict[int, dict[int, None]] = {}
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != len(header):
-                raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
             try:
                 period, product_id = int(row[0]), int(row[1])
             except ValueError:
-                raise ValueError(f"{path}:{line_no}: period and product_id must be integers") from None
+                raise ValueError(f"{path}:{reader.line_num}: period and product_id must be integers") from None
             ids = by_period.setdefault(period, {})
             if product_id in ids:
-                raise ValueError(f"{path}:{line_no}: duplicate entry for period {period}, product {product_id}")
+                raise ValueError(f"{path}:{reader.line_num}: duplicate entry for period {period}, product {product_id}")
             ids[product_id] = None
 
     if not by_period:

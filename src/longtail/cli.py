@@ -1,10 +1,9 @@
 """Command-line interface: simulate, fit, turnover, optimize, reproduce.
 
 All data files are CSV with documented headers (see SCHEMA_VERSIONS and the
-README); floats are serialized with 17 significant digits so values
-round-trip exactly. Every output directory receives a manifest.json echoing
-the resolved configuration, seed and tool version needed to reproduce the
-outputs bit-exactly.
+README), read and written by ``chartdata``. Every output directory receives
+a manifest.json echoing the resolved configuration, seed and tool version
+needed to reproduce the outputs bit-exactly.
 
 Every command and flag is declared once, in COMMANDS; that table builds the
 argument parser, resolves values (built-in default, then --config, then the
@@ -17,7 +16,6 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -35,7 +33,7 @@ from .analysis import (
     fit_alpha,
     turnover,
 )
-from .chartdata import load_chart
+from .chartdata import load_chart, read_sales_column, write_csv
 from .experiments import (
     DEFAULT_MU_GRID,
     DEFAULT_N_GRID,
@@ -60,27 +58,6 @@ SCHEMA_VERSIONS = {
 }
 
 
-def _f17(value: float) -> str:
-    """17-significant-digit float serialization (round-trip safe)."""
-    return format(float(value), ".17g")
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return _f17(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
 def _write_json(path: Path, payload) -> None:
     with path.open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -100,7 +77,7 @@ def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict,
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         if name.endswith(".csv"):
-            _write_csv(out_dir / name, *content)
+            write_csv(out_dir / name, *content)
         elif name.endswith(".json"):
             _write_json(out_dir / name, content)
         else:
@@ -174,28 +151,8 @@ def cmd_simulate(a) -> int:
 # ---------------------------------------------------------------------------
 # fit
 
-def _read_sales_column(path: Path) -> list[int]:
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        column = next((c for c in ("sales", "cumulative_sales") if c in fields), None)
-        if column is None:
-            raise ValueError(f"{path}: no 'sales' or 'cumulative_sales' column (found: {','.join(fields)})")
-        values = []
-        for line_no, row in enumerate(reader, start=2):
-            raw = row.get(column)
-            try:
-                value = int(raw)
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}:{line_no}: sales value {raw!r} is not an integer") from None
-            if value < 0:
-                raise ValueError(f"{path}:{line_no}: sales value {value} is negative")
-            values.append(value)
-    return values
-
-
 def cmd_fit(a) -> int:
-    _print_json(asdict(fit_alpha(_read_sales_column(Path(a.input)), s_min=a.s_min)))
+    _print_json(asdict(fit_alpha(read_sales_column(Path(a.input)), s_min=a.s_min)))
     return 0
 
 

@@ -83,19 +83,6 @@ class InventoryResult:
     note: str | None = None
 
 
-def objective(y: int, params: InventoryParams) -> float:
-    """Stocking profit at integer shelf size y (exact partial sum)."""
-    if y < 0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if y > params.y_max:
-        raise ValueError(f"y exceeds y_max={params.y_max}, got {y}")
-    if y == 0:
-        return 0.0
-    ranks = np.arange(1, y + 1, dtype=float)
-    head_sales = float(np.power(ranks, -params.alpha).sum())
-    return params.profit_per_item * head_sales - params.turnover_cost * y * math.sqrt(params.mu)
-
-
 def closed_form_stock(params: InventoryParams) -> tuple[float, int]:
     """Closed-form shelf size (A/(B*sqrt(mu)))^(1/(alpha+1)), real and floored."""
     a, b = params.profit_per_item, params.turnover_cost

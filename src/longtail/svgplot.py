@@ -27,6 +27,10 @@ MARGIN_LEFT = 70.0
 MARGIN_RIGHT = 24.0
 MARGIN_TOP = 40.0
 MARGIN_BOTTOM = 52.0
+WIDTH = 720
+HEIGHT = 540
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 
 @dataclass
@@ -50,18 +54,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _tick_label(exponent: int) -> str:
-    return f"1e{exponent}"
-
-
-def loglog_svg(
-    series: Sequence[Series],
-    title: str,
-    x_label: str,
-    y_label: str,
-    width: int = 720,
-    height: int = 540,
-) -> str:
+def loglog_svg(series: Sequence[Series], title: str, x_label: str, y_label: str) -> str:
     """Render series with positive coordinates as a log-log SVG plot."""
     xs = [float(v) for s in series for v in s.x]
     ys = [float(v) for s in series for v in s.y]
@@ -70,63 +63,63 @@ def loglog_svg(
 
     x_lo, x_hi = _decade_range(xs)
     y_lo, y_hi = _decade_range(ys)
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
 
-    def px(v: float) -> float:
-        return MARGIN_LEFT + (math.log10(v) - x_lo) / (x_hi - x_lo) * plot_w
+    # px and py take base-10 exponents, so a decade tick sits at its integer
+    # exponent even where 10.0**exponent underflows to 0.0
+    def px(exponent: float) -> float:
+        return MARGIN_LEFT + (exponent - x_lo) / (x_hi - x_lo) * PLOT_W
 
-    def py(v: float) -> float:
-        return MARGIN_TOP + plot_h - (math.log10(v) - y_lo) / (y_hi - y_lo) * plot_h
+    def py(exponent: float) -> float:
+        return MARGIN_TOP + PLOT_H - (exponent - y_lo) / (y_hi - y_lo) * PLOT_H
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
     # decade grid and tick labels
     for exponent in range(x_lo, x_hi + 1):
-        x = px(10.0**exponent)
+        x = px(exponent)
         out.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(MARGIN_TOP + plot_h)}" stroke="#dddddd" stroke-width="1"/>'
+            f'y2="{_fmt(MARGIN_TOP + PLOT_H)}" stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + plot_h + 18)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(exponent)}</text>'
+            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">1e{exponent}</text>'
         )
     for exponent in range(y_lo, y_hi + 1):
-        y = py(10.0**exponent)
+        y = py(exponent)
         out.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT + plot_w)}" '
+            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT + PLOT_W)}" '
             f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
             f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(exponent)}</text>'
+            f'font-family="sans-serif" font-size="11">1e{exponent}</text>'
         )
 
     # frame and axis labels
     out.append(
-        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(plot_w)}" '
-        f'height="{_fmt(plot_h)}" fill="none" stroke="black" stroke-width="1"/>'
+        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(PLOT_W)}" '
+        f'height="{_fmt(PLOT_H)}" fill="none" stroke="black" stroke-width="1"/>'
     )
     out.append(
-        f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(height - 12)}" text-anchor="middle" '
+        f'<text x="{_fmt(MARGIN_LEFT + PLOT_W / 2)}" y="{_fmt(HEIGHT - 12)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{x_label}</text>'
     )
     out.append(
-        f'<text x="18" y="{_fmt(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
+        f'<text x="18" y="{_fmt(MARGIN_TOP + PLOT_H / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_fmt(MARGIN_TOP + plot_h / 2)})">{y_label}</text>'
+        f'transform="rotate(-90 18 {_fmt(MARGIN_TOP + PLOT_H / 2)})">{y_label}</text>'
     )
 
     for index, s in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
-        points = [(px(float(x)), py(float(y))) for x, y in zip(s.x, s.y)]
+        points = [(px(math.log10(float(x))), py(math.log10(float(y)))) for x, y in zip(s.x, s.y)]
         if s.line and len(points) > 1:
             path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
             out.append(
@@ -137,7 +130,7 @@ def loglog_svg(
                 out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
 
     # legend, top right inside the frame
-    legend_x = MARGIN_LEFT + plot_w - 170
+    legend_x = MARGIN_LEFT + PLOT_W - 170
     legend_y = MARGIN_TOP + 12
     box_h = 18 * len(series) + 8
     out.append(

@@ -6,14 +6,19 @@ searchsorted step picks each copier's product by binary search over the
 running sales totals, the enumeration scans the stocking objective value by
 value, the whole-array argmax takes one cumsum over every scanned rank, and
 the high-precision sum recomputes the objective with 50-digit arithmetic.
+The CSV writer and readers are the earlier ones built on ``csv.writer``,
+``csv.DictReader`` and a ``csv.reader`` loop numbering rows by count.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from longtail.inventory import InventoryParams, objective
+from longtail.chartdata import CHART_HEADERS
+from longtail.inventory import InventoryParams
 from longtail.model import SimConfig, SimState
 
 
@@ -69,6 +74,19 @@ def step_searchsorted(state: SimState, config: SimConfig, rng: np.random.Generat
     )
 
 
+def objective(y: int, params: InventoryParams) -> float:
+    """Stocking profit at integer shelf size y (exact partial sum)."""
+    if y < 0:
+        raise ValueError(f"y must be >= 0, got {y}")
+    if y > params.y_max:
+        raise ValueError(f"y exceeds y_max={params.y_max}, got {y}")
+    if y == 0:
+        return 0.0
+    ranks = np.arange(1, y + 1, dtype=float)
+    head_sales = float(np.power(ranks, -params.alpha).sum())
+    return params.profit_per_item * head_sales - params.turnover_cost * y * math.sqrt(params.mu)
+
+
 def argmax_by_enumeration(params: InventoryParams, y_max: int) -> int:
     """Exhaustive scan of the stocking objective over 0..y_max."""
     values = [objective(y, params) for y in range(y_max + 1)]
@@ -98,3 +116,80 @@ def objective_highprec(y: int, a, b, mu, alpha) -> mpmath.mpf:
     with mpmath.workdps(50):
         head = mpmath.fsum(mpmath.mpf(i) ** (-alpha) for i in range(1, y + 1))
         return a * head - b * y * mpmath.sqrt(mu)
+
+
+def _f17(value: float) -> str:
+    """17-significant-digit float serialization (round-trip safe)."""
+    return format(float(value), ".17g")
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return _f17(value)
+    return str(value)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
+
+
+def _read_sales_column(path: Path) -> list[int]:
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields = reader.fieldnames or []
+        column = next((c for c in ("sales", "cumulative_sales") if c in fields), None)
+        if column is None:
+            raise ValueError(f"{path}: no 'sales' or 'cumulative_sales' column (found: {','.join(fields)})")
+        values = []
+        for line_no, row in enumerate(reader, start=2):
+            raw = row.get(column)
+            try:
+                value = int(raw)
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{line_no}: sales value {raw!r} is not an integer") from None
+            if value < 0:
+                raise ValueError(f"{path}:{line_no}: sales value {value} is negative")
+            values.append(value)
+    return values
+
+
+def load_chart(path: str | Path) -> list[list[int]]:
+    """Per-period ranked product-id lists from a chart CSV."""
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty chart file") from None
+        if header not in CHART_HEADERS:
+            raise ValueError(
+                f"{path}: header must be 'period,product_id[,sales]', got {','.join(header)}"
+            )
+        # each period's ids are the keys of a dict: an insertion-ordered set,
+        # so one lookup finds a duplicate and the keys keep the rank order
+        by_period: dict[int, dict[int, None]] = {}
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
+            try:
+                period, product_id = int(row[0]), int(row[1])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: period and product_id must be integers") from None
+            ids = by_period.setdefault(period, {})
+            if product_id in ids:
+                raise ValueError(f"{path}:{line_no}: duplicate entry for period {period}, product {product_id}")
+            ids[product_id] = None
+
+    if not by_period:
+        raise ValueError(f"{path}: chart file has no data rows")
+    periods = sorted(by_period)
+    if periods != list(range(periods[0], periods[0] + len(periods))):
+        raise ValueError(f"{path}: periods must be consecutive integers, got gaps in {periods[0]}..{periods[-1]}")
+    return [list(by_period[p]) for p in periods]

@@ -119,6 +119,14 @@ def test_fit_insufficient_data_exit_4(tmp_path, capsys):
     assert "s_min" in capsys.readouterr().err
 
 
+def test_fit_sales_beyond_every_float_exit_2(tmp_path, capsys):
+    # converting the samples to float raised an OverflowError traceback, exit 1
+    path = tmp_path / "sales.csv"
+    write_lines(path, "sales", ["1", "9" * 400])
+    assert run_cli("fit", "--input", path) == 2
+    assert capsys.readouterr().err == "error: a sample exceeds the largest float\n"
+
+
 def test_fit_missing_file_exit_3(tmp_path):
     assert run_cli("fit", "--input", tmp_path / "nope.csv") == 3
 
@@ -214,6 +222,48 @@ def test_turnover_single_period_exit_4(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# fit and turnover: reader messages
+
+@pytest.mark.parametrize(
+    "command,text,line",
+    [
+        # a blank line: fit reported line 3, counting records
+        (["fit"], "product_id,sales\n0,5\n\n1,x\n", 4),
+        (["turnover", "--y", 1], "period,product_id\n0,1\n\n1,2\n", 3),
+        # a quoted line break: both reported line 3
+        (["fit"], 'product_id,sales\n"a\nb",5\n1,x\n', 4),
+        (["turnover", "--y", 1], 'period,product_id\n"0\n",1\n0,x\n', 4),
+    ],
+    ids=["fit-blank", "turnover-blank", "fit-quoted", "turnover-quoted"],
+)
+def test_reader_errors_name_the_physical_line(tmp_path, capsys, command, text, line):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    assert run_cli(*command, "--input", path) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
+
+@pytest.mark.parametrize("command", [["fit"], ["turnover", "--y", 1]], ids=["fit", "turnover"])
+@pytest.mark.parametrize(
+    "content,prefix",
+    [
+        # _csv.Error tracebacks, exit 1
+        (b"period,product_id,sales\n0,1," + b"9" * 131_073 + b"\n", "{path}:2: field larger than field limit"),
+        # exited 2 with a message naming no file
+        (b"period,product_id,sales\n0,1,\xff\n", "{path}: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["long-field", "undecodable"],
+)
+def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, command, content, prefix):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    assert run_cli(*command, "--input", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + prefix.format(path=path)), err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # optimize
 
 def test_optimize_reports_both_optima_with_note(capsys):
@@ -290,6 +340,14 @@ def test_reproduce_sweep_reduced_byte_identical(tmp_path):
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["config"]["n_grid"] == [60, 120]
     assert manifest["seed"] == 5
+
+
+def test_reproduce_inventory_curves_plot_a_subnormal_mu(tmp_path):
+    # the lowest decade, 1e-324, underflows as a float; it exited 2 with "math domain error"
+    out = tmp_path / "curves"
+    assert run_cli("reproduce", "--figure", 3, "--mu-grid", "5e-324,0.1", "--out-dir", out) == 0
+    svg = (out / "inventory_curves.svg").read_text()
+    assert ">1e-324</text>" in svg
 
 
 def test_reproduce_sales_distribution_conserves_products(tmp_path):
@@ -485,11 +543,17 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (CURVE_ARGS + ["--ab-ratios", "10,-0.0"], "--ab-ratios"),
         # the y*sqrt(mu) reference line raised OverflowError after the sweep
         (RIGHT_ARGS + ["--y", 10**400], "--y"),
+        # a non-finite s_min exited 4 with the unflagged "need at least 2 samples"
+        (["fit", "--s-min", "nan"], "--s-min"),
+        (["fit", "--s-min", "inf"], "--s-min"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     extra = ["--out-dir", out] if argv[0] != "optimize" else []
+    if argv[0] == "fit":  # fit reads an input file and writes no directory
+        extra = ["--input", tmp_path / "sales.csv"]
+        write_lines(extra[1], "sales", ["1", "2", "3"])
     assert run_cli(*argv, *extra) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: "), err

@@ -16,9 +16,8 @@ from longtail.inventory import (
     bruteforce_stock,
     closed_form_stock,
     inventory_curve,
-    objective,
 )
-from oracles import argmax_by_enumeration, bruteforce_whole_array, objective_highprec
+from oracles import argmax_by_enumeration, bruteforce_whole_array, objective, objective_highprec
 
 
 def _params(a=10.0, b=1.0, mu=0.25, alpha=3.5, y_max=1_000_000):
