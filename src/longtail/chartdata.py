@@ -1,6 +1,10 @@
-"""Reading and writing the CSV data files: the one module that knows their format.
+"""Reading and writing the data files: the one module that knows their format.
 
-A file has a header row and CRLF line ends; floats are written with 17
+``SCHEMAS`` is the schema table: each CSV file's versioned schema, whose
+comma-separated word after the colon is the header written. ``write_files``
+writes every file of an output directory: CSV rows, a JSON payload or text.
+
+A CSV file has a header row and CRLF line ends; floats are written with 17
 significant digits, so values round-trip exactly. A chart file has header
 ``period,product_id[,sales]`` and one row per item per period in rank order,
 with consecutive periods and no repeated (period, product_id) pair. Errors
@@ -10,10 +14,44 @@ name ``<path>:<line>``, where the bad record ends, or ``<path>`` for bad bytes.
 from __future__ import annotations
 
 import csv
+import json
 from contextlib import contextmanager
 from pathlib import Path
 
-CHART_HEADERS = (["period", "product_id"], ["period", "product_id", "sales"])
+SCHEMAS = {
+    "cumulative_sales.csv": "cumulative-sales v1: product_id,cumulative_sales",
+    "top_products.csv": "chart v1: period,product_id (row order within a period is the rank)",
+    "turnover.csv": "turnover v1: period,new_entries",
+    "sales_histogram.csv": "sales-histogram v1: n_mu,mu,bin_lo,bin_hi,count",
+    "sales_samples.csv": "sales-samples v1: n_mu,cumulative_sales",
+    "turnover_sweep.csv": "turnover-sweep v1: n_agents,mu,z_bar,z_std",
+    "turnover_by_mu.csv": "turnover-by-mu v1: mu,z_bar_mean,z_bar_std",
+    "inventory_curves.csv": "inventory-curves v1: ab_ratio,mu,y_value,y_floor",
+}
+
+
+def _header(name: str) -> list[str]:
+    """The column names of a CSV file: its schema's comma-separated word after the colon."""
+    return SCHEMAS[name].split(": ", 1)[1].split(" ", 1)[0].split(",")
+
+
+CHART_HEADERS = (_header("top_products.csv"), _header("top_products.csv") + ["sales"])
+
+
+def write_files(out_dir: Path, files: dict) -> None:
+    """Create out_dir and write each file by its suffix.
+
+    ``files`` maps a file name to its rows for .csv (the header comes from
+    ``SCHEMAS``), a payload for .json and text for anything else.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            write_csv(out_dir / name, _header(name), content)
+        elif name.endswith(".json"):
+            (out_dir / name).write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        else:
+            (out_dir / name).write_text(content)
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:

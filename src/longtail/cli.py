@@ -1,8 +1,9 @@
 """Command-line interface: simulate, fit, turnover, optimize, reproduce.
 
-All data files are CSV with documented headers (see SCHEMA_VERSIONS and the
-README), read and written by ``chartdata``. Every output directory receives
-a manifest.json echoing the resolved configuration, seed and tool version
+Every file is read and written by ``chartdata``, whose ``SCHEMAS`` table
+holds each CSV file's versioned header (see also the README); commands hand
+it rows, JSON payloads and SVG text. Every output directory receives a
+manifest.json echoing the resolved configuration, seed and tool version
 needed to reproduce the outputs bit-exactly.
 
 Every command and flag is declared once, in COMMANDS; that table builds the
@@ -33,7 +34,7 @@ from .analysis import (
     fit_alpha,
     turnover,
 )
-from .chartdata import load_chart, read_sales_column, write_csv
+from .chartdata import SCHEMAS, load_chart, read_sales_column, write_files
 from .experiments import (
     DEFAULT_MU_GRID,
     DEFAULT_N_GRID,
@@ -46,42 +47,13 @@ from .inventory import DEFAULT_AB_RATIOS, InventoryParams, bruteforce_stock, inv
 from .model import SimConfig, TopYSeries, run
 from .svgplot import Series, loglog_svg
 
-SCHEMA_VERSIONS = {
-    "cumulative_sales.csv": "cumulative-sales v1: product_id,cumulative_sales",
-    "top_products.csv": "chart v1: period,product_id (row order within a period is the rank)",
-    "turnover.csv": "turnover v1: period,new_entries",
-    "sales_histogram.csv": "sales-histogram v1: n_mu,mu,bin_lo,bin_hi,count",
-    "sales_samples.csv": "sales-samples v1: n_mu,cumulative_sales",
-    "turnover_sweep.csv": "turnover-sweep v1: n_agents,mu,z_bar,z_std",
-    "turnover_by_mu.csv": "turnover-by-mu v1: mu,z_bar_mean,z_bar_std",
-    "inventory_curves.csv": "inventory-curves v1: ab_ratio,mu,y_value,y_floor",
-}
-
-
-def _write_json(path: Path, payload) -> None:
-    with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
-    """Create out_dir, write each file by its suffix, then manifest.json.
-
-    ``files`` maps a file name to ``(header, rows)`` for .csv, a payload for
-    .json and text for anything else.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        if name.endswith(".csv"):
-            write_csv(out_dir / name, *content)
-        elif name.endswith(".json"):
-            _write_json(out_dir / name, content)
-        else:
-            (out_dir / name).write_text(content)
+    """Write the files (see ``chartdata.write_files``), then manifest.json."""
+    write_files(out_dir, files)
     manifest = {
         "tool": "longtail",
         "version": __version__,
@@ -89,10 +61,10 @@ def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict,
         "config": config,
         "seed": seed,
         "outputs": sorted(files),
-        "schemas": {name: SCHEMA_VERSIONS[name] for name in sorted(files) if name in SCHEMA_VERSIONS},
+        "schemas": {name: SCHEMAS[name] for name in sorted(files) if name in SCHEMAS},
         "duration_seconds": time.monotonic() - started,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_files(out_dir, {"manifest.json": manifest})
 
 
 def _check_out_dir(out_dir: Path) -> None:
@@ -137,12 +109,9 @@ def cmd_simulate(a) -> int:
     state, series = run(config, y=a.y)
     stats = turnover(series)
     files = {
-        "cumulative_sales.csv": (["product_id", "cumulative_sales"], enumerate(state.cumulative.tolist())),
-        "top_products.csv": (
-            ["period", "product_id"],
-            ((period, pid) for period, ids in enumerate(series.lists) for pid in ids),
-        ),
-        "turnover.csv": (["period", "new_entries"], enumerate(stats.z_per_period, start=1)),
+        "cumulative_sales.csv": enumerate(state.cumulative.tolist()),
+        "top_products.csv": ((period, pid) for period, ids in enumerate(series.lists) for pid in ids),
+        "turnover.csv": enumerate(stats.z_per_period, start=1),
     }
     _write_outputs(Path(a.out_dir), "simulate", {**asdict(config), "y": a.y}, config.seed, files, started)
     return 0
@@ -200,11 +169,8 @@ def _sales_distribution(a):
         plot_series.append(Series(label=label, x=[p[0] for p in points], y=[p[1] for p in points], line=True))
     config = {"targets": list(a.targets), "n_agents": a.n, "steps": a.steps, "replicates": a.runs}
     return config, {
-        "sales_histogram.csv": (
-            ["n_mu", "mu", "bin_lo", "bin_hi", "count"],
-            ((r.n_mu, r.mu, lo, hi, count) for r in results for lo, hi, count in r.histogram),
-        ),
-        "sales_samples.csv": (["n_mu", "cumulative_sales"], ((r.n_mu, int(s)) for r in results for s in r.samples)),
+        "sales_histogram.csv": ((r.n_mu, r.mu, lo, hi, count) for r in results for lo, hi, count in r.histogram),
+        "sales_samples.csv": ((r.n_mu, int(s)) for r in results for s in r.samples),
         "exponent_fits.json": [
             {
                 "n_mu": r.n_mu,
@@ -255,11 +221,8 @@ def _turnover_sweep(a):
     config = asdict(spec)
     del config["master_seed"]  # recorded as the manifest's seed
     return config, {
-        "turnover_sweep.csv": (
-            ["n_agents", "mu", "z_bar", "z_std"],
-            ((c.n_agents, c.mu, c.z_bar, c.z_std) for c in result.cells),
-        ),
-        "turnover_by_mu.csv": (["mu", "z_bar_mean", "z_bar_std"], result.per_mu_stats()),
+        "turnover_sweep.csv": ((c.n_agents, c.mu, c.z_bar, c.z_std) for c in result.cells),
+        "turnover_by_mu.csv": result.per_mu_stats(),
         "turnover_fit.json": asdict(fit),
         "turnover_sweep.svg": svg,
     }
@@ -271,16 +234,11 @@ def _inventory_curves(a):
     for ab in a.ab_ratios:
         curve = [p for p in points if p.ab_ratio == ab]
         series.append(Series(label=f"A/B = {ab:g}", x=[p.mu for p in curve], y=[p.y_value for p in curve], line=True))
-    config = {
-        "alpha": a.alpha,
-        "ab_ratios": list(a.ab_ratios),
-        "mu_grid": None if a.mu_grid is None else list(a.mu_grid),
-    }
+    # points come ratio by ratio, so the first ratio's points hold the mu grid used
+    mu_grid = [p.mu for p in points[: len(points) // len(a.ab_ratios)]]
+    config = {"alpha": a.alpha, "ab_ratios": list(a.ab_ratios), "mu_grid": mu_grid}
     return config, {
-        "inventory_curves.csv": (
-            ["ab_ratio", "mu", "y_value", "y_floor"],
-            ((p.ab_ratio, p.mu, p.y_value, p.y_floor) for p in points),
-        ),
+        "inventory_curves.csv": ((p.ab_ratio, p.mu, p.y_value, p.y_floor) for p in points),
         "inventory_curves.svg": loglog_svg(
             series,
             title="Optimal shelf size vs innovation fraction",
@@ -403,9 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str, name: str) -> dict:
     """Config values by dest, converted as the flag's own text would be; nulls dropped.
 
-    A string goes through the flag's type; a list is accepted only by (and
-    required for any non-string value of) a list-typed flag; a number only
-    by an int flag when whole, or by a float flag; a boolean by no flag.
+    A string goes through the flag's type; a non-empty list is accepted only
+    by (and required for any non-string value of) a list-typed flag; a number
+    only by an int flag when whole, or by a float flag; a boolean by no flag.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -423,7 +381,7 @@ def _read_config(path: str, name: str) -> dict:
             if isinstance(value, str):
                 values[flag.dest] = flag.type(value)
             elif flag.type in LIST_ITEM:
-                if not isinstance(value, list):
+                if not isinstance(value, list) or not value:
                     raise ValueError
                 values[flag.dest] = tuple(_from_json(LIST_ITEM[flag.type], item) for item in value)
             else:

@@ -160,17 +160,13 @@ def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepResult, 
     return SweepResult(spec=spec, cells=cells), fit
 
 
-def log_binned_histogram(
-    samples: np.ndarray, ratio: float = 2.0
-) -> list[tuple[float, float, int]]:
-    """Histogram of positive values in geometric bins [r^k, r^(k+1)) from 1."""
-    if ratio <= 1.0:
-        raise ValueError(f"bin ratio must be > 1, got {ratio}")
+def log_binned_histogram(samples: np.ndarray) -> list[tuple[float, float, int]]:
+    """Histogram of positive values in geometric bins [2^k, 2^(k+1)) from 1."""
     values = np.asarray(samples, dtype=float)
     if values.size == 0 or values.min() < 1:
         raise ValueError("histogram expects at least one sample, all >= 1")
-    n_bins = max(1, math.ceil(math.log(values.max() + 1.0, ratio)))
-    edges = ratio ** np.arange(n_bins + 1)
+    n_bins = max(1, math.ceil(math.log(values.max() + 1.0, 2.0)))
+    edges = 2.0 ** np.arange(n_bins + 1)
     counts, _ = np.histogram(values, bins=edges)
     return [(float(lo), float(hi), int(c)) for lo, hi, c in zip(edges, edges[1:], counts)]
 
@@ -195,7 +191,6 @@ def run_sales_distribution(
     steps: int = 1000,
     replicates: int = 10,
     master_seed: int = 0,
-    s_min: float = 1,
 ) -> list[DistributionResult]:
     """Cumulative-sales distributions for a list of N*mu targets.
 
@@ -227,7 +222,7 @@ def run_sales_distribution(
             pooled.append(state.cumulative[state.cumulative >= 1])
         samples = np.concatenate(pooled)
         winner_take_all = target <= 1.0
-        fit = None if winner_take_all else fit_alpha(samples, s_min=s_min)
+        fit = None if winner_take_all else fit_alpha(samples)
         results.append(
             DistributionResult(
                 n_mu=target,

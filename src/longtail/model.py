@@ -136,16 +136,14 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     if frac > 0.0 and rng.random() < frac:
         k += 1
 
-    n_copiers = n - k
-    if n_copiers > 0:
-        owner = np.repeat(np.arange(state.sales.size), state.sales)
-        draws = rng.integers(0, n, size=n_copiers)
-        np.take(owner, draws, out=draws)  # each draw becomes its product's position
-        del owner
-        counts = np.bincount(draws, minlength=state.sales.size)
-        del draws
-    else:
-        counts = np.zeros(state.sales.size, dtype=np.int64)
+    # with no copiers (k == n) the empty block draws nothing from rng and
+    # bincount gives int64 zeros, so every product goes extinct
+    owner = np.repeat(np.arange(state.sales.size), state.sales)
+    draws = rng.integers(0, n, size=n - k)
+    np.take(owner, draws, out=draws)  # each draw becomes its product's position
+    del owner
+    counts = np.bincount(draws, minlength=state.sales.size)
+    del draws
 
     survived = counts > 0
     sales = np.concatenate([counts[survived], np.ones(k, dtype=np.int64)])

@@ -6,6 +6,7 @@ tests; expect one to two minutes of wall-clock time in total.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -33,7 +34,7 @@ def _criterion(number: int, name: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def sweep():
     started = time.monotonic()
-    result, fit = run_turnover_sweep(SweepSpec())
+    result, fit = run_turnover_sweep(SweepSpec(), workers=os.cpu_count() or 1)
     print(f"\n[turnover sweep: {len(result.cells)} cells x 10 runs in {time.monotonic() - started:.1f}s]")
     return result, fit
 

@@ -215,6 +215,13 @@ def test_turnover_y_too_large_exit_2(tmp_path, capsys):
     assert "--y" in capsys.readouterr().err
 
 
+def test_turnover_y_below_one_exit_2(tmp_path, capsys):
+    path = tmp_path / "chart.csv"
+    write_lines(path, "period,product_id", ["0,1", "0,2", "1,1", "1,2"])
+    assert run_cli("turnover", "--input", path, "--y", 0) == 2
+    assert capsys.readouterr().err == "error: --y: y must be >= 1, got 0\n"
+
+
 def test_turnover_single_period_exit_4(tmp_path):
     path = tmp_path / "chart.csv"
     write_lines(path, "period,product_id", ["0,1", "0,2"])
@@ -440,6 +447,13 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_config_not_an_object_exit_2(tmp_path, capsys):
+    config = tmp_path / "sim.json"
+    config.write_text("[1]")
+    assert run_cli("simulate", "--config", config) == 2
+    assert capsys.readouterr().err == f"error: --config: {config} must hold a JSON object\n"
+
+
 def test_config_missing_file_exit_3(tmp_path):
     assert run_cli("simulate", "--config", tmp_path / "nope.json") == 3
 
@@ -582,6 +596,11 @@ def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
         (["reproduce", "--figure", "2right"], {"mu-grid": 0.01}, "--mu-grid"),
         (["reproduce", "--figure", "2left"], {"targets": [[2]]}, "--targets"),
         (["reproduce", "--figure", "2right"], {"workers": 2.0}, "--workers"),
+        (["reproduce", "--figure", "3"], {"ab-ratios": []}, "--ab-ratios"),
+        (["reproduce", "--figure", "3"], {"mu-grid": []}, "--mu-grid"),
+        (["reproduce", "--figure", "2left"], {"targets": []}, "--targets"),
+        (["reproduce", "--figure", "2right"], {"mu-grid": []}, "--mu-grid"),
+        (["reproduce", "--figure", "2right"], {"n-grid": []}, "--n-grid"),
     ],
 )
 def test_config_value_of_the_wrong_type_exits_2_naming_the_flag(tmp_path, capsys, argv, config, flag):

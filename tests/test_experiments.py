@@ -162,8 +162,6 @@ def test_log_binned_histogram_hand_case():
 def test_log_binned_histogram_validation():
     with pytest.raises(ValueError):
         log_binned_histogram(np.array([0.5, 2.0]))
-    with pytest.raises(ValueError):
-        log_binned_histogram(np.array([1.0]), ratio=1.0)
 
 
 def test_sales_distribution_small_scale():

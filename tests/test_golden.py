@@ -72,7 +72,7 @@ GOLDEN = {
     "reproduce-3-defaults": {
         "inventory_curves.csv": "bddc38d26d56574142dc4150408f64a72d02b7668742220d87c0e690ae351649",
         "inventory_curves.svg": "78baa9d8f3c78b5ad4e037f38797465adc6cb3c2e42824ac80d30488fadbe55b",
-        "manifest.json": "7af2d2e34d37a2f83f35d724e929e4877164735f53065de8bee24868e49fc5fa",
+        "manifest.json": "75dbaef19a1006c7918eda0ea94c1498f7c82128b47678cfd69b8350d030ff4c",
     },
     "simulate": {
         "cumulative_sales.csv": "6d73e663fa0a4d1eb264e247dc745a472d4b5080d0275a7a195d05e78acb6359",
