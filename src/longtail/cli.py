@@ -52,7 +52,8 @@ def _print_json(payload) -> None:
 
 
 def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
-    """Write the files (see ``chartdata.write_files``), then manifest.json."""
+    """Write the files (see ``chartdata.write_files``), then manifest.json, the completion marker."""
+    (out_dir / "manifest.json").unlink(missing_ok=True)  # a failed rerun must not look complete
     write_files(out_dir, files)
     manifest = {
         "tool": "longtail",
@@ -106,10 +107,10 @@ def cmd_simulate(a) -> int:
     started = time.monotonic()
     config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
     _check_out_dir(Path(a.out_dir))
-    state, series = run(config, y=a.y)
+    cumulative, series = run(config, y=a.y)
     stats = turnover(series)
     files = {
-        "cumulative_sales.csv": enumerate(state.cumulative.tolist()),
+        "cumulative_sales.csv": enumerate(cumulative.tolist()),
         "top_products.csv": ((period, pid) for period, ids in enumerate(series.lists) for pid in ids),
         "turnover.csv": enumerate(stats.z_per_period, start=1),
     }

@@ -217,9 +217,9 @@ def run_sales_distribution(
         for replicate in range(replicates):
             seed = derive_run_seed(master_seed, cell_index, replicate)
             config = SimConfig(n_agents=n_agents, mu=mu, steps=steps, seed=seed)
-            state, _ = run(config, y=1)
-            total_products += state.next_product_id
-            pooled.append(state.cumulative[state.cumulative >= 1])
+            cumulative, _ = run(config, y=1)
+            total_products += cumulative.size
+            pooled.append(cumulative[cumulative >= 1])
         samples = np.concatenate(pooled)
         winner_take_all = target <= 1.0
         fit = None if winner_take_all else fit_alpha(samples)

@@ -20,6 +20,7 @@ an agent, and the table gives its product in one lookup, with no search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,15 +65,14 @@ class SimState:
     """Market state after some period.
 
     ``product_ids`` and ``sales`` describe the live products (ids ascending,
-    sales summing to ``n_agents``). ``cumulative`` is indexed by product id
-    and keeps accumulating sales for every product ever created, including
-    extinct ones. Ids are never reused.
+    sales summing to ``n_agents``). Ids are never reused; ``next_product_id``
+    is the number of products ever created. Cumulative sales are not part of
+    the state: ``run`` keeps them.
     """
 
     period: int
     product_ids: np.ndarray
     sales: np.ndarray
-    cumulative: np.ndarray
     next_product_id: int
 
     @property
@@ -105,14 +105,7 @@ def init_state(config: SimConfig) -> SimState:
     ids = np.arange(x0, dtype=np.int64)
     sales = np.full(x0, config.n_agents // x0, dtype=np.int64)
     sales[: config.n_agents % x0] += 1
-    cumulative = sales.copy() if config.burn_in == 0 else np.zeros(x0, dtype=np.int64)
-    return SimState(
-        period=0,
-        product_ids=ids,
-        sales=sales,
-        cumulative=cumulative,
-        next_product_id=x0,
-    )
+    return SimState(period=0, product_ids=ids, sales=sales, next_product_id=x0)
 
 
 def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimState:
@@ -128,8 +121,14 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     sales[i], the product a right-sided binary search of the running sales
     totals finds (zero-sale products included), so with the same draws the
     trajectories match that sampler's bit for bit.
+
+    Raises ValueError when the state's sales do not sum to ``n_agents``:
+    the owner table must hold exactly one entry per agent.
     """
     n = config.n_agents
+    owner = np.repeat(np.arange(state.sales.size), state.sales)
+    if owner.size != n:
+        raise ValueError(f"state sales must sum to n_agents = {n}, got {owner.size}")
     mu_n = config.mu * n
     k = int(mu_n)
     frac = mu_n - k
@@ -138,46 +137,53 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
 
     # with no copiers (k == n) the empty block draws nothing from rng and
     # bincount gives int64 zeros, so every product goes extinct
-    owner = np.repeat(np.arange(state.sales.size), state.sales)
     draws = rng.integers(0, n, size=n - k)
-    np.take(owner, draws, out=draws)  # each draw becomes its product's position
+    # each draw becomes its product's position; every draw is below owner.size,
+    # so "clip" never acts, and unlike "raise" it does not copy draws first
+    np.take(owner, draws, out=draws, mode="clip")
     del owner
-    counts = np.bincount(draws, minlength=state.sales.size)
+    # the k newcomers get the last k bins, each with its one sale
+    size = state.sales.size
+    counts = np.bincount(draws, minlength=size + k)
     del draws
+    counts[size:] = 1
 
     survived = counts > 0
-    sales = np.concatenate([counts[survived], np.ones(k, dtype=np.int64)])
+    sales = counts[survived]
     del counts
     new_ids = np.arange(state.next_product_id, state.next_product_id + k, dtype=np.int64)
-    product_ids = np.concatenate([state.product_ids[survived], new_ids])
-
-    period = state.period + 1
-    next_id = state.next_product_id + k
-    cumulative = np.concatenate([state.cumulative, np.zeros(k, dtype=np.int64)])
-    if period > config.burn_in:
-        cumulative[product_ids] += sales
-
+    product_ids = np.concatenate([state.product_ids[survived[:size]], new_ids])
     return SimState(
-        period=period,
+        period=state.period + 1,
         product_ids=product_ids,
         sales=sales,
-        cumulative=cumulative,
-        next_product_id=next_id,
+        next_product_id=state.next_product_id + k,
     )
 
 
-def run(config: SimConfig, y: int = 5) -> tuple[SimState, TopYSeries]:
+def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, TopYSeries]:
     """Run init plus ``config.steps`` steps, recording the top-y list each period.
 
-    Returns the final state and a TopYSeries with steps+1 lists (period 0
-    included). Identical (config, y) inputs reproduce identical results.
+    Returns ``(cumulative, series)``: ``cumulative[i]`` is product i's sales
+    summed over the counted periods (period 0 when ``burn_in`` is 0, then
+    every period after ``burn_in``), for every product ever created;
+    ``series`` holds steps+1 top-y lists (period 0 included). Identical
+    (config, y) inputs reproduce identical results.
     """
     if y < 1:
         raise ValueError(f"y must be >= 1, got {y}")
     rng = np.random.default_rng(config.seed)
     state = init_state(config)
+    # step creates at most ceil(mu*N) products a period (the same float
+    # product it rounds), so this one buffer holds every id run can reach
+    bound = config.x0 + config.steps * math.ceil(config.mu * config.n_agents)
+    cumulative = np.zeros(bound, dtype=np.int64)
+    if config.burn_in == 0:
+        cumulative[state.product_ids] = state.sales
     lists = [rank_top(state.product_ids, state.sales, y).tolist()]
     for _ in range(config.steps):
         state = step(state, config, rng)
+        if state.period > config.burn_in:
+            cumulative[state.product_ids] += state.sales
         lists.append(rank_top(state.product_ids, state.sales, y).tolist())
-    return state, TopYSeries(y=y, lists=lists)
+    return cumulative[: state.next_product_id], TopYSeries(y=y, lists=lists)

@@ -4,8 +4,9 @@ These stay deliberately separate from the library code paths they check:
 the sampler draws from the target distribution by inverse CDF, the
 searchsorted step picks each copier's product by binary search over the
 running sales totals, the enumeration scans the stocking objective value by
-value, the whole-array argmax takes one cumsum over every scanned rank, and
-the high-precision sum recomputes the objective with 50-digit arithmetic.
+value, the whole-array argmax takes one cumsum over every scanned rank, the
+high-precision sum recomputes the objective with 50-digit arithmetic, and
+Ewens' sampling formula gives the expected number of live products.
 The CSV writer and readers are the earlier ones built on ``csv.writer``,
 ``csv.DictReader`` and a ``csv.reader`` loop numbering rows by count.
 """
@@ -59,19 +60,17 @@ def step_searchsorted(state: SimState, config: SimConfig, rng: np.random.Generat
     product_ids = np.concatenate([state.product_ids[survived], new_ids])
     sales = np.concatenate([counts[survived], np.ones(k, dtype=np.int64)])
 
-    period = state.period + 1
-    next_id = state.next_product_id + k
-    cumulative = np.concatenate([state.cumulative, np.zeros(k, dtype=np.int64)])
-    if period > config.burn_in:
-        cumulative[product_ids] += sales
-
     return SimState(
-        period=period,
+        period=state.period + 1,
         product_ids=product_ids,
         sales=sales,
-        cumulative=cumulative,
-        next_product_id=next_id,
+        next_product_id=state.next_product_id + k,
     )
+
+
+def ewens_expected_types(n: int, theta: float) -> float:
+    """Expected number of distinct types among n, Ewens' sampling formula: sum of theta/(theta+i), i < n."""
+    return math.fsum(theta / (theta + i) for i in range(n))
 
 
 def objective(y: int, params: InventoryParams) -> float:

@@ -106,8 +106,8 @@ def test_05_winner_take_all_regime():
         values = []
         for replicate in range(10):
             seed = derive_run_seed(0, cell_index, replicate)
-            state, _ = run(SimConfig(n_agents=100, mu=mu, steps=1000, seed=seed), y=1)
-            values.append(state.cumulative.max() / state.cumulative.sum())
+            cumulative, _ = run(SimConfig(n_agents=100, mu=mu, steps=1000, seed=seed), y=1)
+            values.append(cumulative.max() / cumulative.sum())
         shares[mu] = float(np.median(values))
     passed = shares[0.005] > shares[0.05]
     _criterion(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from longtail import cli
+from longtail import chartdata, cli
 from longtail.analysis import fit_alpha
 from longtail.cli import COMMANDS, main
 from longtail.model import SimConfig, run as run_model
@@ -79,6 +79,25 @@ def test_simulate_unwritable_out_dir_is_io_error(tmp_path):
     blocker.write_text("not a directory")
     code = run_cli("simulate", "--n", 10, "--mu", 0.1, "--steps", 5, "--out-dir", blocker / "sub")
     assert code == 3
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys, monkeypatch):
+    args = ["simulate", "--n", 50, "--mu", 0.02, "--steps", 10, "--out-dir", tmp_path / "out"]
+    assert run_cli(*args) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+    write_csv, written = chartdata.write_csv, []
+
+    def fail_on_second_file(path, header, rows):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(f"{path}: disk full")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(chartdata, "write_csv", fail_on_second_file)
+    assert run_cli(*args) == 3
+    assert len(written) == 2
+    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_top_products_csv_is_a_loadable_chart(tmp_path, capsys):
@@ -150,8 +169,8 @@ def test_fit_composes_with_simulate_output(tmp_path, capsys):
     assert run_cli("fit", "--input", out / "cumulative_sales.csv") == 0
     payload = read_json(capsys)
 
-    state, _ = run_model(SimConfig(n_agents=200, mu=0.05, steps=300, seed=13), y=5)
-    direct = fit_alpha(state.cumulative[state.cumulative >= 1], s_min=1)
+    cumulative, _ = run_model(SimConfig(n_agents=200, mu=0.05, steps=300, seed=13), y=5)
+    direct = fit_alpha(cumulative[cumulative >= 1], s_min=1)
     assert payload["alpha"] == pytest.approx(direct.alpha, rel=1e-15)
     assert payload["n_samples"] == direct.n_samples
 
