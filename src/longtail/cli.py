@@ -20,11 +20,14 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -58,6 +61,9 @@ def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict,
     manifest = {
         "tool": "longtail",
         "version": __version__,
+        # trajectories are bit-exact only under the same PCG64 and Generator.integers streams
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "command": command,
         "config": config,
         "seed": seed,

@@ -117,7 +117,7 @@ def _run_cell(task: tuple[SweepSpec, int, int, float]) -> CellResult:
     for replicate in range(spec.runs_per_cell):
         seed = derive_run_seed(spec.master_seed, cell_index, replicate)
         config = SimConfig(n_agents=n_agents, mu=mu, steps=spec.steps, seed=seed)
-        _, series = run(config, y=spec.y)
+        _, series = run(config, y=spec.y, cumulative=False)  # only the top lists are read
         z_bars.append(turnover(series).z_bar)
     values = np.array(z_bars)
     return CellResult(

@@ -161,29 +161,41 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     )
 
 
-def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, TopYSeries]:
+def run(config: SimConfig, y: int = 5, *, cumulative: bool = True) -> tuple[np.ndarray | None, TopYSeries]:
     """Run init plus ``config.steps`` steps, recording the top-y list each period.
 
     Returns ``(cumulative, series)``: ``cumulative[i]`` is product i's sales
     summed over the counted periods (period 0 when ``burn_in`` is 0, then
     every period after ``burn_in``), for every product ever created;
-    ``series`` holds steps+1 top-y lists (period 0 included). Identical
-    (config, y) inputs reproduce identical results.
+    ``series`` holds steps+1 top-y lists (period 0 included). With
+    ``cumulative=False`` no sales are summed and the first item is None; the
+    draws and the series are the same. Identical (config, y) inputs
+    reproduce identical results.
+
+    Raises ValueError naming ``steps``, before the first step, when numpy
+    cannot allocate the cumulative-sales buffer.
     """
     if y < 1:
         raise ValueError(f"y must be >= 1, got {y}")
     rng = np.random.default_rng(config.seed)
     state = init_state(config)
-    # step creates at most ceil(mu*N) products a period (the same float
-    # product it rounds), so this one buffer holds every id run can reach
-    bound = config.x0 + config.steps * math.ceil(config.mu * config.n_agents)
-    cumulative = np.zeros(bound, dtype=np.int64)
-    if config.burn_in == 0:
-        cumulative[state.product_ids] = state.sales
+    totals = None
+    if cumulative:
+        # step creates at most ceil(mu*N) products a period (the same float
+        # product it rounds), so this one buffer holds every id run can reach
+        bound = config.x0 + config.steps * math.ceil(config.mu * config.n_agents)
+        try:
+            totals = np.zeros(bound, dtype=np.int64)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"steps {config.steps} need a cumulative-sales buffer numpy cannot allocate: {exc}") from None
+        if config.burn_in == 0:
+            totals[state.product_ids] = state.sales
     lists = [rank_top(state.product_ids, state.sales, y).tolist()]
     for _ in range(config.steps):
         state = step(state, config, rng)
-        if state.period > config.burn_in:
-            cumulative[state.product_ids] += state.sales
+        if totals is not None and state.period > config.burn_in:
+            totals[state.product_ids] += state.sales
         lists.append(rank_top(state.product_ids, state.sales, y).tolist())
-    return cumulative[: state.next_product_id], TopYSeries(y=y, lists=lists)
+    if totals is not None:
+        totals = totals[: state.next_product_id]
+    return totals, TopYSeries(y=y, lists=lists)

@@ -4,9 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import platform
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,14 @@ def test_simulate_with_a_y_beyond_every_float(tmp_path, capsys):
     assert run_cli("simulate", "--n", 10, "--mu", 0.1, "--steps", 5, "--y", 10**400, "--out-dir", out) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["config"]["y"] == 10**400
+
+
+def test_manifest_records_numpy_and_python_versions(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--n", 10, "--mu", 0.1, "--steps", 5, "--out-dir", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["python_version"] == platform.python_version()
 
 
 def test_simulate_reruns_byte_identical(tmp_path):
@@ -579,6 +589,12 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         # a non-finite s_min exited 4 with the unflagged "need at least 2 samples"
         (["fit", "--s-min", "nan"], "--s-min"),
         (["fit", "--s-min", "inf"], "--s-min"),
+        # numpy refused the cumulative-sales buffer: a MemoryError traceback at
+        # 355 PiB and 14 PiB, an unflagged "Maximum allowed dimension exceeded"
+        # past 2**63 bytes; both sizes fail at once, without touching memory
+        (SIM_ARGS + ["--n", 1000, "--mu", 0.5, "--steps", 10**14], "--steps"),
+        (SIM_ARGS + ["--n", 1000, "--mu", 0.5, "--steps", 10**17], "--steps"),
+        (LEFT_ARGS + ["--steps", 10**15], "--steps"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):

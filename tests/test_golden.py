@@ -1,9 +1,10 @@
 """SHA-256 pins of what each command writes, on reduced-size runs.
 
-Covers every data file, plot and manifest (minus its wall-clock duration)
-of ``simulate`` and the three ``reproduce`` presets, plus the JSON that
-``fit``, ``turnover`` and ``optimize`` print. A changed byte anywhere, in
-an output or in the resolved configuration a manifest echoes, fails here.
+Covers every data file, plot and manifest (minus its wall-clock duration
+and the numpy and Python versions) of ``simulate`` and the three
+``reproduce`` presets, plus the JSON that ``fit``, ``turnover`` and
+``optimize`` print. A changed byte anywhere, in an output or in the
+resolved configuration a manifest echoes, fails here.
 
 The simulator's bytes depend on numpy's PCG64 and ``Generator.integers``
 streams; the digests were recorded with numpy 2.4.6 on CPython 3.11.
@@ -105,7 +106,8 @@ def digests(case: str, tmp_path) -> dict[str, str]:
         return {"stdout": _sha(stdout.getvalue().encode())}
     result = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
     manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["duration_seconds"]
+    for key in ("duration_seconds", "numpy_version", "python_version"):  # vary by run and host
+        del manifest[key]
     result["manifest.json"] = _sha(json.dumps(manifest, sort_keys=True).encode())
     return result
 

@@ -232,6 +232,15 @@ def test_run_cumulative_matches_oracle_trajectory(n_agents, mu, steps, seed, x0_
     assert len(cumulative) == oracle.next_product_id <= config.x0 + steps * math.ceil(mu * n_agents)
 
 
+@settings(max_examples=40, deadline=None)
+@oracle_cases
+def test_run_without_cumulative_returns_the_same_series(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
+    config = oracle_config(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction)
+    nothing, series = run(config, y=3, cumulative=False)
+    assert nothing is None
+    assert series == run(config, y=3)[1]
+
+
 @pytest.mark.parametrize("sales", [[2, 1], [3, 3]])
 def test_step_rejects_sales_not_summing_to_n_agents(sales):
     # a short owner table ended in an IndexError; a long one sampled a prefix of it
@@ -270,6 +279,19 @@ def test_run_memory_is_bounded():
     # the 1.04 MB cumulative buffer plus one step: measured 4.26 MB. A run
     # whose every step rebuilt the cumulative array peaked at 4.82 MB.
     assert peak < 4_600_000
+
+
+def test_run_without_cumulative_allocates_no_buffer():
+    config = SimConfig(n_agents=1000, mu=0.5, steps=200, seed=1)
+    tracemalloc.start()
+    try:
+        run(config, cumulative=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cumulative buffer alone is 0.81 MB (1000 + 200 * 500 int64 slots);
+    # with it the run peaked at 0.90 MB, without it at 0.09 MB
+    assert peak < 300_000
 
 
 def test_live_products_match_ewens_from_above():
