@@ -31,7 +31,7 @@ from .inventory import (
     closed_form_stock,
     inventory_curve,
 )
-from .model import SimConfig, SimState, TopYSeries, init_state, rank_top, run, step
+from .model import SimConfig, SimState, init_state, rank_top, run, step
 
 __all__ = [
     "CellResult",
@@ -46,7 +46,6 @@ __all__ = [
     "SimState",
     "SweepResult",
     "SweepSpec",
-    "TopYSeries",
     "TurnoverStats",
     "bruteforce_stock",
     "calibrate_mu",

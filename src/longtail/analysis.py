@@ -16,8 +16,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import TopYSeries
-
 
 class InsufficientDataError(ValueError):
     """Too few (or degenerate) data points for the requested statistic."""
@@ -71,13 +69,14 @@ def fit_alpha(samples: Iterable[float], s_min: float = 1) -> PowerLawFit:
     return PowerLawFit(alpha=alpha, s_min=s_min, n_samples=n, std_error=(alpha - 1.0) / math.sqrt(n))
 
 
-def turnover(series: TopYSeries) -> TurnoverStats:
-    """Per-period count of list entrants: z_t = |top(t) \\ top(t-1)|."""
-    if len(series.lists) < 2:
+def turnover(lists: list[list[int]], y: int) -> TurnoverStats:
+    """Per-period count of list entrants, z_t = |top(t) \\ top(t-1)|, over the
+    ranked lists that ``model.run`` returns; ``y`` only scales ``as_fraction``."""
+    if len(lists) < 2:
         raise InsufficientDataError("turnover needs at least 2 recorded periods")
     z = []
-    prev = set(series.lists[0])
-    for current_list in series.lists[1:]:
+    prev = set(lists[0])
+    for current_list in lists[1:]:
         current = set(current_list)
         z.append(len(current - prev))
         prev = current
@@ -85,7 +84,7 @@ def turnover(series: TopYSeries) -> TurnoverStats:
     # z_bar / y as one correctly rounded integer division: equal to the float
     # quotient for every y < 2**53, with no OverflowError for a y past every float
     num, den = z_bar.as_integer_ratio()
-    return TurnoverStats(z_per_period=z, z_bar=z_bar, as_fraction=num / (den * series.y))
+    return TurnoverStats(z_per_period=z, z_bar=z_bar, as_fraction=num / (den * y))
 
 
 def expected_turnover(y: int, mu: float) -> float:

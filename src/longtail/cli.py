@@ -47,7 +47,7 @@ from .experiments import (
     run_turnover_sweep,
 )
 from .inventory import DEFAULT_AB_RATIOS, InventoryParams, bruteforce_stock, inventory_curve
-from .model import SimConfig, TopYSeries, run
+from .model import SimConfig, run
 from .svgplot import Series, loglog_svg
 
 def _print_json(payload) -> None:
@@ -113,11 +113,11 @@ def cmd_simulate(a) -> int:
     started = time.monotonic()
     config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
     _check_out_dir(Path(a.out_dir))
-    cumulative, series = run(config, y=a.y)
-    stats = turnover(series)
+    cumulative, lists = run(config, y=a.y)
+    stats = turnover(lists, a.y)
     files = {
         "cumulative_sales.csv": enumerate(cumulative.tolist()),
-        "top_products.csv": ((period, pid) for period, ids in enumerate(series.lists) for pid in ids),
+        "top_products.csv": ((period, pid) for period, ids in enumerate(lists) for pid in ids),
         "turnover.csv": enumerate(stats.z_per_period, start=1),
     }
     _write_outputs(Path(a.out_dir), "simulate", {**asdict(config), "y": a.y}, config.seed, files, started)
@@ -142,7 +142,7 @@ def cmd_turnover(a) -> int:
     shortest = min(len(l) for l in lists)
     if a.y > shortest:
         raise ValueError(f"y {a.y} exceeds the shortest per-period list length ({shortest})")
-    stats = turnover(TopYSeries(y=a.y, lists=[l[: a.y] for l in lists]))
+    stats = turnover([l[: a.y] for l in lists], a.y)
     _print_json({**asdict(stats), "mu_hat": calibrate_mu(stats.as_fraction)})
     return 0
 
@@ -182,7 +182,7 @@ def _sales_distribution(a):
             {
                 "n_mu": r.n_mu,
                 "mu": r.mu,
-                "total_products": r.total_products,
+                "total_products": len(r.samples),
                 "winner_take_all": r.winner_take_all,
                 "fit": None if r.fit is None else asdict(r.fit),
             }
@@ -236,14 +236,14 @@ def _turnover_sweep(a):
 
 
 def _inventory_curves(a):
-    points = inventory_curve(alpha=a.alpha, ab_ratios=a.ab_ratios, mu_grid=a.mu_grid)
+    # the default grid is made here, not on import: its numpy calls add about 0.5 MB to every command's RSS
+    mu_grid = tuple(np.geomspace(1e-4, 0.5, 25).tolist()) if a.mu_grid is None else a.mu_grid
+    points = inventory_curve(alpha=a.alpha, ab_ratios=a.ab_ratios, mu_grid=mu_grid)
     series = []
     for ab in a.ab_ratios:
         curve = [p for p in points if p.ab_ratio == ab]
         series.append(Series(label=f"A/B = {ab:g}", x=[p.mu for p in curve], y=[p.y_value for p in curve], line=True))
-    # points come ratio by ratio, so the first ratio's points hold the mu grid used
-    mu_grid = [p.mu for p in points[: len(points) // len(a.ab_ratios)]]
-    config = {"alpha": a.alpha, "ab_ratios": list(a.ab_ratios), "mu_grid": mu_grid}
+    config = {"alpha": a.alpha, "ab_ratios": list(a.ab_ratios), "mu_grid": list(mu_grid)}
     return config, {
         "inventory_curves.csv": ((p.ab_ratio, p.mu, p.y_value, p.y_floor) for p in points),
         "inventory_curves.svg": loglog_svg(

@@ -15,10 +15,12 @@ worker processes without changing the output.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,15 +56,19 @@ class SweepSpec:
 
     def __post_init__(self):
         # checked before any cell runs: the pooled log-log fit at the end
-        # needs at least 3 cells over at least 2 distinct positive mu values
+        # needs at least 3 cells over at least 2 distinct positive mu values;
+        # a repeated value would run (and pool) the same cells twice
         if not self.n_grid or not self.mu_grid:
             raise ValueError("n_grid and mu_grid must be non-empty")
         if min(self.n_grid) < 1:
             raise ValueError(f"n_grid values must be >= 1, got {self.n_grid}")
         if not all(0.0 < mu <= 1.0 for mu in self.mu_grid):
             raise ValueError(f"mu_grid values must be within (0, 1], got {self.mu_grid}")
-        if len(set(self.mu_grid)) < 2:
-            raise ValueError(f"mu_grid must hold at least 2 distinct values, got {self.mu_grid}")
+        for name, grid in (("n_grid", self.n_grid), ("mu_grid", self.mu_grid)):
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"{name} values must be distinct, got {grid}")
+        if len(self.mu_grid) < 2:
+            raise ValueError(f"mu_grid must hold at least 2 values, got {self.mu_grid}")
         if len(self.n_grid) * len(self.mu_grid) < 3:
             raise ValueError("n_grid and mu_grid must span at least 3 cells for the turnover fit")
         if self.runs_per_cell < 1:
@@ -70,14 +76,6 @@ class SweepSpec:
         # y scales the float reference line y*sqrt(mu) drawn beside the cells
         if not 1 <= self.y <= sys.float_info.max:
             raise ValueError(f"y must be >= 1 and at most the largest float, got {self.y}")
-
-    @property
-    def cells(self) -> list[tuple[int, int, float]]:
-        """(cell_index, n_agents, mu) triples in deterministic order."""
-        return [
-            (i, n, mu)
-            for i, (n, mu) in enumerate((n, mu) for n in self.n_grid for mu in self.mu_grid)
-        ]
 
 
 @dataclass
@@ -111,14 +109,14 @@ def derive_run_seed(master_seed: int, cell_index: int, replicate_index: int) -> 
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _run_cell(task: tuple[SweepSpec, int, int, float]) -> CellResult:
-    spec, cell_index, n_agents, mu = task
+def _run_cell(spec: SweepSpec, task: tuple[int, tuple[int, float]]) -> CellResult:
+    cell_index, (n_agents, mu) = task
     z_bars = []
     for replicate in range(spec.runs_per_cell):
         seed = derive_run_seed(spec.master_seed, cell_index, replicate)
         config = SimConfig(n_agents=n_agents, mu=mu, steps=spec.steps, seed=seed)
-        _, series = run(config, y=spec.y, cumulative=False)  # only the top lists are read
-        z_bars.append(turnover(series).z_bar)
+        _, lists = run(config, y=spec.y, cumulative=False)  # only the top lists are read
+        z_bars.append(turnover(lists, spec.y).z_bar)
     values = np.array(z_bars)
     return CellResult(
         n_agents=n_agents,
@@ -139,7 +137,8 @@ def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepResult, 
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(spec, i, n, mu) for i, n, mu in spec.cells]
+    tasks = list(enumerate(itertools.product(spec.n_grid, spec.mu_grid)))
+    run_cell = partial(_run_cell, spec)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool machinery (multiprocessing, subprocess,
@@ -147,9 +146,9 @@ def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepResult, 
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, tasks))
+            cells = list(pool.map(run_cell, tasks))
     else:
-        cells = [_run_cell(t) for t in tasks]
+        cells = [run_cell(t) for t in tasks]
     for c in cells:
         if c.z_bar == 0.0:
             raise InsufficientDataError(
@@ -177,9 +176,7 @@ class DistributionResult:
 
     n_mu: float
     mu: float
-    n_agents: int
-    total_products: int
-    samples: np.ndarray
+    samples: np.ndarray  # one entry per product ever created, each >= 1
     histogram: list[tuple[float, float, int]]
     fit: PowerLawFit | None
     winner_take_all: bool
@@ -209,17 +206,17 @@ def run_sales_distribution(
             raise ValueError(
                 f"targets must lie in (0, n_agents] so that mu = target/n_agents is in (0, 1], got {target}"
             )
+    if len(set(targets)) < len(targets):
+        raise ValueError(f"targets must be distinct, got {targets}")
     results = []
     for cell_index, target in enumerate(targets):
         mu = target / n_agents
         pooled = []
-        total_products = 0
         for replicate in range(replicates):
             seed = derive_run_seed(master_seed, cell_index, replicate)
             config = SimConfig(n_agents=n_agents, mu=mu, steps=steps, seed=seed)
-            cumulative, _ = run(config, y=1)
-            total_products += cumulative.size
-            pooled.append(cumulative[cumulative >= 1])
+            # every product sold: N // x0 >= 1 in period 0, or 1 in its first period
+            pooled.append(run(config, y=1)[0])
         samples = np.concatenate(pooled)
         winner_take_all = target <= 1.0
         fit = None if winner_take_all else fit_alpha(samples)
@@ -227,8 +224,6 @@ def run_sales_distribution(
             DistributionResult(
                 n_mu=target,
                 mu=mu,
-                n_agents=n_agents,
-                total_products=total_products,
                 samples=samples,
                 histogram=log_binned_histogram(samples),
                 fit=fit,

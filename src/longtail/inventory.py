@@ -178,7 +178,8 @@ class CurvePoint:
 def inventory_curve(
     alpha: float = 3.5,
     ab_ratios: tuple[float, ...] = DEFAULT_AB_RATIOS,
-    mu_grid: tuple[float, ...] | None = None,
+    *,
+    mu_grid: tuple[float, ...],
 ) -> list[CurvePoint]:
     """Closed-form shelf size over a grid of profit/cost ratios and mu values.
 
@@ -190,8 +191,9 @@ def inventory_curve(
     """
     if not all(ab > 0 for ab in ab_ratios):
         raise ValueError(f"ab_ratios values must be > 0, got {ab_ratios}")
-    if mu_grid is None:
-        mu_grid = tuple(np.geomspace(1e-4, 0.5, 25).tolist())
+    for name, grid in (("ab_ratios", ab_ratios), ("mu_grid", mu_grid)):
+        if len(set(grid)) < len(grid):  # a repeated value draws a curve twice over
+            raise ValueError(f"{name} values must be distinct, got {grid}")
     points = []
     for ab in ab_ratios:
         for mu in mu_grid:

@@ -21,7 +21,7 @@ an agent, and the table gives its product in one lookup, with no search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,18 +74,6 @@ class SimState:
     product_ids: np.ndarray
     sales: np.ndarray
     next_product_id: int
-
-    @property
-    def alive_count(self) -> int:
-        return int(self.product_ids.size)
-
-
-@dataclass
-class TopYSeries:
-    """Ranked best-seller lists, one per period (index = period number)."""
-
-    y: int
-    lists: list[list[int]] = field(default_factory=list)
 
 
 def rank_top(product_ids: np.ndarray, sales: np.ndarray, y: int) -> np.ndarray:
@@ -161,15 +149,16 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     )
 
 
-def run(config: SimConfig, y: int = 5, *, cumulative: bool = True) -> tuple[np.ndarray | None, TopYSeries]:
+def run(config: SimConfig, y: int = 5, *, cumulative: bool = True) -> tuple[np.ndarray | None, list[list[int]]]:
     """Run init plus ``config.steps`` steps, recording the top-y list each period.
 
-    Returns ``(cumulative, series)``: ``cumulative[i]`` is product i's sales
+    Returns ``(cumulative, lists)``: ``cumulative[i]`` is product i's sales
     summed over the counted periods (period 0 when ``burn_in`` is 0, then
     every period after ``burn_in``), for every product ever created;
-    ``series`` holds steps+1 top-y lists (period 0 included). With
+    ``lists[t]`` holds the ids of period t's top-y sellers, ranked as by
+    ``rank_top``, for the steps+1 periods (period 0 included). With
     ``cumulative=False`` no sales are summed and the first item is None; the
-    draws and the series are the same. Identical (config, y) inputs
+    draws and the lists are the same. Identical (config, y) inputs
     reproduce identical results.
 
     Raises ValueError naming ``steps``, before the first step, when numpy
@@ -198,4 +187,4 @@ def run(config: SimConfig, y: int = 5, *, cumulative: bool = True) -> tuple[np.n
         lists.append(rank_top(state.product_ids, state.sales, y).tolist())
     if totals is not None:
         totals = totals[: state.next_product_id]
-    return totals, TopYSeries(y=y, lists=lists)
+    return totals, lists

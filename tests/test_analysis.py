@@ -15,7 +15,7 @@ from longtail.analysis import (
     fit_turnover_exponent,
     turnover,
 )
-from longtail.model import TopYSeries, rank_top
+from longtail.model import rank_top
 from oracles import power_law_samples
 
 
@@ -83,21 +83,21 @@ def test_top_y_sorts_by_sales_descending():
 
 
 def test_turnover_identical_lists_is_zero():
-    stats = turnover(TopYSeries(y=3, lists=[[1, 2, 3]] * 4))
+    stats = turnover([[1, 2, 3]] * 4, 3)
     assert stats.z_per_period == [0, 0, 0]
     assert stats.z_bar == 0.0
     assert stats.as_fraction == 0.0
 
 
 def test_turnover_disjoint_lists_is_y():
-    stats = turnover(TopYSeries(y=3, lists=[[1, 2, 3], [4, 5, 6]]))
+    stats = turnover([[1, 2, 3], [4, 5, 6]], 3)
     assert stats.z_per_period == [3]
     assert stats.z_bar == 3.0
     assert stats.as_fraction == 1.0
 
 
 def test_turnover_single_entrant():
-    stats = turnover(TopYSeries(y=3, lists=[[1, 2, 3], [1, 3, 4]]))
+    stats = turnover([[1, 2, 3], [1, 3, 4]], 3)
     assert stats.z_per_period == [1]
 
 
@@ -109,20 +109,20 @@ def test_turnover_single_entrant():
 def test_turnover_fraction_is_the_float_quotient(entrants, y):
     # every period lists only new ids, so z_t is the length of list t
     lists = [[]] + [list(range(1000 * t, 1000 * t + n)) for t, n in enumerate(entrants, start=1)]
-    stats = turnover(TopYSeries(y=y, lists=lists))
+    stats = turnover(lists, y)
     assert stats.z_per_period == entrants
     assert stats.as_fraction == stats.z_bar / y
 
 
 def test_turnover_fraction_for_a_y_beyond_every_float():
-    stats = turnover(TopYSeries(y=10**400, lists=[[1], [2]]))
+    stats = turnover([[1], [2]], 10**400)
     assert stats.z_bar == 1.0
     assert stats.as_fraction == 0.0  # 1e-400 underflows
 
 
 def test_turnover_needs_two_periods():
     with pytest.raises(InsufficientDataError):
-        turnover(TopYSeries(y=3, lists=[[1, 2, 3]]))
+        turnover([[1, 2, 3]], 3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -132,8 +132,8 @@ def test_turnover_invariant_under_relabeling(seed):
     lists = [rng.choice(50, size=5, replace=False).tolist() for _ in range(8)]
     relabel = rng.permutation(50).tolist()
     relabeled = [[relabel[i] for i in lst] for lst in lists]
-    original = turnover(TopYSeries(y=5, lists=lists))
-    mapped = turnover(TopYSeries(y=5, lists=relabeled))
+    original = turnover(lists, 5)
+    mapped = turnover(relabeled, 5)
     assert original.z_per_period == mapped.z_per_period
 
 

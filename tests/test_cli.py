@@ -595,6 +595,12 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (SIM_ARGS + ["--n", 1000, "--mu", 0.5, "--steps", 10**14], "--steps"),
         (SIM_ARGS + ["--n", 1000, "--mu", 0.5, "--steps", 10**17], "--steps"),
         (LEFT_ARGS + ["--steps", 10**15], "--steps"),
+        # a repeated grid value ran and drew (or pooled) the same cells twice, and exited 0
+        (CURVE_ARGS + ["--ab-ratios", "10,10", "--mu-grid", "0.01,0.1"], "--ab-ratios"),
+        (CURVE_ARGS + ["--mu-grid", "0.01,0.1,0.01"], "--mu-grid"),
+        (RIGHT_ARGS + ["--mu-grid", "0.05,0.05,0.1", "--n-grid", 50], "--mu-grid"),
+        (RIGHT_ARGS + ["--n-grid", "20,40,20"], "--n-grid"),
+        (LEFT_ARGS + ["--targets", "2,0.5,2"], "--targets"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):

@@ -307,4 +307,4 @@ def test_curve_rejects_nonpositive_mu():
 def test_curve_rejects_a_nonpositive_ratio(ab):
     # a zero ratio stocks nothing, so its curve had no point on the log-log plot
     with pytest.raises(ValueError, match="^ab_ratios values must be > 0"):
-        inventory_curve(ab_ratios=(10.0, ab))
+        inventory_curve(ab_ratios=(10.0, ab), mu_grid=(0.1,))

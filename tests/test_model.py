@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longtail.model import SimConfig, SimState, TopYSeries, init_state, rank_top, run, step
+from longtail.model import SimConfig, SimState, init_state, rank_top, run, step
 from oracles import ewens_expected_types, step_searchsorted
 
 
@@ -100,16 +100,16 @@ def test_innovator_rate_matches_mu():
 
 def test_run_is_deterministic():
     config = SimConfig(n_agents=100, mu=0.01, steps=10, seed=42)
-    cumulative_a, series_a = run(config, y=5)
-    cumulative_b, series_b = run(config, y=5)
+    cumulative_a, lists_a = run(config, y=5)
+    cumulative_b, lists_b = run(config, y=5)
     assert cumulative_a.tolist() == cumulative_b.tolist()
-    assert series_a.lists == series_b.lists
+    assert lists_a == lists_b
 
 
 def test_run_records_every_period():
-    _, series = run(SimConfig(n_agents=30, mu=0.1, steps=25, seed=3), y=4)
-    assert len(series.lists) == 26
-    assert all(len(lst) <= 4 for lst in series.lists)
+    _, lists = run(SimConfig(n_agents=30, mu=0.1, steps=25, seed=3), y=4)
+    assert len(lists) == 26
+    assert all(len(lst) <= 4 for lst in lists)
 
 
 def test_run_rejects_bad_y():
@@ -150,7 +150,7 @@ def test_trajectory_invariants(n_agents, mu, steps, seed, x0_fraction, burn_in_f
 
         assert int(state.sales.sum()) == n_agents  # one purchase per agent
         assert state.sales.min() >= 1  # zero-sellers are removed
-        assert state.alive_count <= n_agents
+        assert state.product_ids.size <= n_agents
         assert live & extinct == set()  # extinction is permanent
         assert state.next_product_id >= previous_next_id
         assert np.all(np.diff(state.product_ids) > 0)  # ids ascending, unique
@@ -236,9 +236,18 @@ def test_run_cumulative_matches_oracle_trajectory(n_agents, mu, steps, seed, x0_
 @oracle_cases
 def test_run_without_cumulative_returns_the_same_series(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
     config = oracle_config(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction)
-    nothing, series = run(config, y=3, cumulative=False)
+    nothing, lists = run(config, y=3, cumulative=False)
     assert nothing is None
-    assert series == run(config, y=3)[1]
+    assert lists == run(config, y=3)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@oracle_cases
+def test_every_product_sells_at_least_once_without_burn_in(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
+    # period 0 gives each initial product N // x0 >= 1 sales and a newcomer
+    # sells once in its first period, so no entry of cumulative is 0
+    config = oracle_config(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction=0.0)
+    assert run(config)[0].min() >= 1
 
 
 @pytest.mark.parametrize("sales", [[2, 1], [3, 3]])
@@ -316,7 +325,7 @@ def test_live_products_match_ewens_from_above():
         for period in range(1, config.steps + 1):
             state = step(state, config, rng)
             if period > burn_in:
-                counts.append(state.alive_count)
+                counts.append(state.product_ids.size)
     ewens = ewens_expected_types(n, 2 * n * mu)
     assert 19.86 < ewens < 19.87
     assert ewens <= np.mean(counts) <= 1.06 * ewens
@@ -331,9 +340,3 @@ def test_winner_take_all_contrast_fast():
             cumulative, _ = run(config, y=1)
             bucket.append(cumulative.max() / cumulative.sum())
     assert np.median(shares[0.005]) > np.median(shares[0.05])
-
-
-def test_top_y_series_fields():
-    series = TopYSeries(y=3, lists=[[1, 2], [2, 3, 4]])
-    assert series.y == 3
-    assert len(series.lists[1]) == 3
