@@ -1,66 +1,35 @@
-"""longtail: random-copying market simulation and long-tail sales analysis."""
+"""longtail: random-copying market simulation and long-tail sales analysis.
+
+The public names are imported from their submodules on first access
+(PEP 562), so ``import longtail`` (and ``import longtail.cli``) loads no
+numpy until a numeric name is used.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    InsufficientDataError,
-    LogLogFit,
-    PowerLawFit,
-    TurnoverStats,
-    calibrate_mu,
-    expected_turnover,
-    fit_alpha,
-    fit_turnover_exponent,
-    turnover,
-)
-from .experiments import (
-    CellResult,
-    DistributionResult,
-    SweepResult,
-    SweepSpec,
-    derive_run_seed,
-    log_binned_histogram,
-    run_sales_distribution,
-    run_turnover_sweep,
-)
-from .inventory import (
-    CurvePoint,
-    InventoryParams,
-    InventoryResult,
-    bruteforce_stock,
-    closed_form_stock,
-    inventory_curve,
-)
-from .model import SimConfig, SimState, init_state, rank_top, run, step
+# public name -> the submodule that defines it
+_SUBMODULE = {
+    **dict.fromkeys(("InsufficientDataError", "LogLogFit", "PowerLawFit", "TurnoverStats", "calibrate_mu",
+                     "expected_turnover", "fit_alpha", "fit_turnover_exponent", "turnover"), "analysis"),
+    **dict.fromkeys(("CellResult", "DistributionResult", "SweepResult", "SweepSpec", "derive_run_seed",
+                     "log_binned_histogram", "run_sales_distribution", "run_turnover_sweep"), "experiments"),
+    **dict.fromkeys(("CurvePoint", "InventoryParams", "InventoryResult", "bruteforce_stock", "closed_form_stock",
+                     "inventory_curve"), "inventory"),
+    **dict.fromkeys(("SimConfig", "SimState", "init_state", "rank_top", "run", "step"), "model"),
+}
 
-__all__ = [
-    "CellResult",
-    "CurvePoint",
-    "DistributionResult",
-    "InsufficientDataError",
-    "InventoryParams",
-    "InventoryResult",
-    "LogLogFit",
-    "PowerLawFit",
-    "SimConfig",
-    "SimState",
-    "SweepResult",
-    "SweepSpec",
-    "TurnoverStats",
-    "bruteforce_stock",
-    "calibrate_mu",
-    "closed_form_stock",
-    "derive_run_seed",
-    "expected_turnover",
-    "fit_alpha",
-    "fit_turnover_exponent",
-    "init_state",
-    "inventory_curve",
-    "log_binned_histogram",
-    "rank_top",
-    "run",
-    "run_sales_distribution",
-    "run_turnover_sweep",
-    "step",
-    "turnover",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -27,28 +28,31 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    InsufficientDataError,
-    calibrate_mu,
-    expected_turnover,
-    fit_alpha,
-    turnover,
-)
 from .chartdata import SCHEMAS, load_chart, read_sales_column, write_files
-from .experiments import (
-    DEFAULT_MU_GRID,
-    DEFAULT_N_GRID,
-    DEFAULT_NMU_TARGETS,
-    SweepSpec,
-    run_sales_distribution,
-    run_turnover_sweep,
-)
-from .inventory import DEFAULT_AB_RATIOS, InventoryParams, bruteforce_stock, inventory_curve
-from .model import SimConfig, run
+from .defaults import DEFAULT_AB_RATIOS, DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAULT_NMU_TARGETS
 from .svgplot import Series, loglog_svg
+
+# The numeric modules (analysis, experiments, inventory, model) import numpy,
+# which took half the time to import this module, so no name of theirs is
+# imported here: each handler binds the names it calls (_bind). So --help,
+# --version and argv that argparse rejects never load numpy, and a command
+# loads only the modules it calls. __getattr__ resolves the package's public
+# names, so that a tracer or a test can replace cli.run and the like first.
+def __getattr__(name):
+    package = importlib.import_module(__package__)
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind each name that is not bound yet; a patched or traced binding stays."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -56,13 +60,15 @@ def _print_json(payload) -> None:
 
 def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
     """Write the files (see ``chartdata.write_files``), then manifest.json, the completion marker."""
+    import numpy  # here, not at module level: importing the CLI loads no numpy
+
     (out_dir / "manifest.json").unlink(missing_ok=True)  # a failed rerun must not look complete
     write_files(out_dir, files)
     manifest = {
         "tool": "longtail",
         "version": __version__,
         # trajectories are bit-exact only under the same PCG64 and Generator.integers streams
-        "numpy_version": np.__version__,
+        "numpy_version": numpy.__version__,
         "python_version": platform.python_version(),
         "command": command,
         "config": config,
@@ -110,6 +116,7 @@ def _from_json(kind: type, value):
 # simulate
 
 def cmd_simulate(a) -> int:
+    _bind("SimConfig", "run", "turnover")
     started = time.monotonic()
     config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
     _check_out_dir(Path(a.out_dir))
@@ -128,6 +135,7 @@ def cmd_simulate(a) -> int:
 # fit
 
 def cmd_fit(a) -> int:
+    _bind("fit_alpha")
     _print_json(asdict(fit_alpha(read_sales_column(Path(a.input)), s_min=a.s_min)))
     return 0
 
@@ -136,6 +144,7 @@ def cmd_fit(a) -> int:
 # turnover
 
 def cmd_turnover(a) -> int:
+    _bind("turnover", "calibrate_mu")
     lists = load_chart(Path(a.input))
     if a.y < 1:
         raise ValueError(f"y must be >= 1, got {a.y}")
@@ -151,6 +160,7 @@ def cmd_turnover(a) -> int:
 # optimize
 
 def cmd_optimize(a) -> int:
+    _bind("InventoryParams", "bruteforce_stock")
     params = InventoryParams(profit_per_item=a.A, turnover_cost=a.B, mu=a.mu, alpha=a.alpha, y_max=a.y_max)
     _print_json(asdict(bruteforce_stock(params)))
     return 0
@@ -162,6 +172,7 @@ def cmd_optimize(a) -> int:
 # output directory
 
 def _sales_distribution(a):
+    _bind("run_sales_distribution")
     results = run_sales_distribution(
         targets=a.targets, n_agents=a.n, steps=a.steps, replicates=a.runs, master_seed=a.seed
     )
@@ -198,6 +209,7 @@ def _sales_distribution(a):
 
 
 def _turnover_sweep(a):
+    _bind("SweepSpec", "run_turnover_sweep", "expected_turnover")
     spec = SweepSpec(
         n_grid=a.n_grid,
         mu_grid=DEFAULT_MU_GRID if a.mu_grid is None else a.mu_grid,
@@ -236,8 +248,11 @@ def _turnover_sweep(a):
 
 
 def _inventory_curves(a):
+    _bind("inventory_curve")
+    import numpy  # here, not at module level: importing the CLI loads no numpy
+
     # the default grid is made here, not on import: its numpy calls add about 0.5 MB to every command's RSS
-    mu_grid = tuple(np.geomspace(1e-4, 0.5, 25).tolist()) if a.mu_grid is None else a.mu_grid
+    mu_grid = tuple(numpy.geomspace(1e-4, 0.5, 25).tolist()) if a.mu_grid is None else a.mu_grid
     points = inventory_curve(alpha=a.alpha, ab_ratios=a.ab_ratios, mu_grid=mu_grid)
     series = []
     for ab in a.ab_ratios:
@@ -429,6 +444,7 @@ def main(argv=None) -> int:
         return COMMANDS[name].handler(_resolve(name, passed))
     except (ValueError, OSError) as exc:
         print(f"error: {_flagged(str(exc), name)}", file=sys.stderr)
+        _bind("InsufficientDataError")
         if isinstance(exc, InsufficientDataError):
             return 4
         return 2 if isinstance(exc, ValueError) else 3

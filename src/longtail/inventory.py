@@ -28,16 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_AB_RATIOS
+
 DISAGREEMENT_NOTE = (
     "closed form (exponent 1/(alpha+1)) and exact argmax disagree; "
     "y_bruteforce maximizes the stocking objective by construction"
 )
 
-DEFAULT_AB_RATIOS = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
-
 # ranks per block of the brute-force scan: each float64 array of a block is
 # 64 KB, below glibc's 128 KB mmap threshold and within L2 cache
 SCAN_BLOCK = 1 << 13
+
+# the most ranks one brute-force scan may cover: at 9-10 ns a rank
+# (2.1 GHz Xeon) 10^9 ranks take about 10 s, while a scan capped at
+# y_max = 10^12 would run for hours
+MAX_SCAN = 10**9
 
 
 @dataclass
@@ -100,13 +105,16 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
     cover ranks up to the root of the marginal condition. Ties resolve to
     the smaller y. Warns when the objective is still increasing at y_max.
 
-    Raises ValueError when either term of the objective overflows float64
-    within the scan (inf - inf would read as NaN and win the argmax): the
-    cost term is checked at the scan limit before the scan, the profit term
-    at the end of each block, since both grow with y.
+    Raises ValueError, before any scan, when the scan limit
+    min(y_max, ceil(marginal root) + 1) exceeds MAX_SCAN ranks. Raises it
+    also when either term of the objective overflows float64 within the
+    scan (inf - inf would read as NaN and win the argmax): the cost term is
+    checked at the scan limit before the scan, the profit term at the end of
+    each block, since both grow with y.
     """
     a, b = params.profit_per_item, params.turnover_cost
     cost = b * math.sqrt(params.mu)
+    capped = False
     if a == 0.0:
         limit = 0
     else:
@@ -114,15 +122,16 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
             marginal_root = (a / cost) ** (1.0 / params.alpha)
         except OverflowError:  # beyond every float, so beyond y_max
             marginal_root = math.inf
-        if marginal_root >= params.y_max:
-            warnings.warn(
-                f"objective still increasing at y_max={params.y_max}; result is capped",
-                stacklevel=2,
-            )
-            limit = params.y_max
-        else:
-            limit = min(params.y_max, math.ceil(marginal_root) + 1)
+        capped = marginal_root >= params.y_max
+        limit = params.y_max if capped else min(params.y_max, math.ceil(marginal_root) + 1)
 
+    if limit > MAX_SCAN:
+        raise ValueError(
+            f"y_max {params.y_max} leaves {limit} ranks to scan, more than the {MAX_SCAN} "
+            f"the exact search allows; lower it to at most {MAX_SCAN}"
+        )
+    if capped:
+        warnings.warn(f"objective still increasing at y_max={params.y_max}; result is capped", stacklevel=2)
     if not math.isfinite(cost * limit):
         raise ValueError(
             f"turnover_cost * sqrt(mu) * y overflows float64 at the scan limit y = {limit} "

@@ -4,8 +4,13 @@ import contextlib
 import csv
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 import tempfile
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 from longtail import chartdata, cli
 from longtail.analysis import fit_alpha
 from longtail.cli import COMMANDS, main
+from longtail.inventory import InventoryResult
 from longtail.model import SimConfig, run as run_model
 
 
@@ -328,6 +334,23 @@ def test_optimize_invalid_mu_exit_2(capsys):
     assert run_cli("optimize", "--A", 1, "--B", 1, "--mu", 0) == 2
 
 
+@pytest.mark.filterwarnings("error")  # refused before the "still increasing" warning too
+def test_optimize_refuses_a_scan_past_the_bound_at_once(capsys):
+    # the objective still rises at y_max = 10^12: the scan ran for hours
+    started = time.monotonic()
+    assert run_cli("optimize", "--A", 1e12, "--B", 1, "--mu", 0.01, "--alpha", 1, "--y-max", 10**12) == 2
+    assert time.monotonic() - started < 1
+    assert capsys.readouterr().err.startswith("error: --y-max: y_max 1000000000000 ")
+
+
+def test_a_patched_numeric_name_survives_the_first_dispatch(monkeypatch, capsys):
+    # perfbench's tracer and the tests replace cli's numeric names before the handler binds them
+    stub = InventoryResult(y_closed_form=0.5, y_closed_form_floor=0, y_bruteforce=7, objective_at_optimum=1.5)
+    monkeypatch.setattr(cli, "bruteforce_stock", lambda params: stub)
+    assert run_cli("optimize", "--A", 10, "--B", 1, "--mu", 0.25) == 0
+    assert read_json(capsys) == asdict(stub)
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 
@@ -445,6 +468,43 @@ def test_reproduce_cell_without_turnover_exits_4_naming_it(tmp_path, capsys):
 def test_version_flag(capsys):
     assert run_cli("--version") == 0
     assert "longtail" in capsys.readouterr().out
+
+
+def _probe(script):
+    """Run script in a fresh interpreter that imports longtail from this checkout; its stdout."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def test_importing_and_rejecting_argv_load_no_numpy():
+    # numpy took half of the import time of the CLI; only a command that computes
+    # needs it, and a command loads only the modules it calls
+    script = """
+import contextlib, io, sys
+import longtail
+seen = ['numpy' in sys.modules]
+import longtail.cli as cli
+seen.append('numpy' in sys.modules)
+for argv in (['--version'], ['--help'], ['simulate', '--n', 'x'], ['optimize', '--A', '10', '--B', '1', '--mu', '0.25']):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append((cli.main(argv), 'numpy' in sys.modules))
+print(seen)
+print(sorted(m for m in sys.modules if m.startswith('longtail.') or m == 'decimal'))
+"""
+    assert _probe(script).splitlines() == [
+        "[False, False, (0, False), (0, False), (2, False), (0, True)]",
+        "['longtail.chartdata', 'longtail.cli', 'longtail.defaults', 'longtail.inventory', 'longtail.svgplot']",
+    ]
+
+
+def test_a_numeric_name_resolves_on_the_cli_before_any_dispatch():
+    # the path perfbench's tracer takes: getattr on the freshly imported module
+    script = "import longtail.cli as cli\nrun = getattr(cli, 'run')\nimport longtail.model\nprint(run is longtail.model.run)\n"
+    assert _probe(script) == "True\n"
 
 
 # ---------------------------------------------------------------------------

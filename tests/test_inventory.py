@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from longtail import inventory
 from longtail.inventory import (
+    MAX_SCAN,
     SCAN_BLOCK,
     InventoryParams,
     bruteforce_stock,
@@ -228,6 +229,26 @@ def test_overflowing_marginal_root_caps_the_scan():
     with pytest.warns(UserWarning, match="y_max"):
         result = bruteforce_stock(_params(a=1e10, b=1e-10, mu=1.0, alpha=0.01, y_max=10))
     assert result.y_bruteforce == 10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(a=1e12, b=1.0, mu=0.01, alpha=1.0, y_max=10**12),  # capped: it scanned for hours
+        dict(a=1e12, b=1.0, mu=0.01, alpha=1.0, y_max=MAX_SCAN + 1),
+        dict(a=1e10, b=1.0, mu=1.0, alpha=1.0, y_max=10**12),  # root 1e10: the scan stops at 1e10 + 1
+    ],
+)
+def test_a_scan_past_the_bound_is_refused_before_any_work(kwargs):
+    with mock.patch.object(inventory.np, "power", side_effect=AssertionError("the scan started")):
+        with pytest.raises(ValueError, match=f"^y_max {kwargs['y_max']} .* more than the {MAX_SCAN} "):
+            bruteforce_stock(_params(**kwargs))
+
+
+def test_a_y_max_past_the_bound_keeps_answers_below_it():
+    # the marginal root (10/0.5)^(1/3.5) ~ 2.35 bounds the scan, whatever y_max is
+    assert bruteforce_stock(_params(y_max=10**12)) == bruteforce_stock(_params())
 
 
 def test_closed_form_unit_base():
