@@ -21,29 +21,37 @@ import importlib
 import json
 import math
 import os
-import platform
 import sys
 import time
-from dataclasses import asdict
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .chartdata import SCHEMAS, load_chart, read_sales_column, write_files
 from .defaults import DEFAULT_AB_RATIOS, DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAULT_NMU_TARGETS
-from .svgplot import Series, loglog_svg
 
-# The numeric modules (analysis, experiments, inventory, model) import numpy,
-# which took half the time to import this module, so no name of theirs is
-# imported here: each handler binds the names it calls (_bind). So --help,
-# --version and argv that argparse rejects never load numpy, and a command
-# loads only the modules it calls. __getattr__ resolves the package's public
-# names, so that a tracer or a test can replace cli.run and the like first.
+# Parsing argv needs only the standard modules above, so nothing else is
+# imported at module level. The numeric modules (analysis, experiments,
+# inventory, model) import numpy, and the file I/O (chartdata, with csv), the
+# plotting (svgplot) and dataclasses.asdict (with inspect) took most of the
+# rest of this module's import time. Each handler binds the names it calls
+# (_bind), the I/O, plotting and asdict names before the numeric ones. So
+# --help, --version and rejected argv load none of them, and a command loads
+# only the modules it calls. __getattr__ resolves the names below and the
+# package's public names, so that a tracer or a test can replace cli.run,
+# cli.load_chart and the like first.
+LAZY = {
+    **dict.fromkeys(("SCHEMAS", "load_chart", "read_sales_column", "write_files"), "longtail.chartdata"),
+    **dict.fromkeys(("Series", "loglog_svg"), "longtail.svgplot"),
+    "asdict": "dataclasses",
+}
+
+
 def __getattr__(name):
-    package = importlib.import_module(__package__)
-    if name not in package.__all__:
+    module = importlib.import_module(LAZY.get(name, __package__))
+    if name not in LAZY and name not in module.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(package, name)
+    value = globals()[name] = getattr(module, name)
     return value
 
 
@@ -60,6 +68,7 @@ def _print_json(payload) -> None:
 
 def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
     """Write the files (see ``chartdata.write_files``), then manifest.json, the completion marker."""
+    import platform  # here, not at module level: only a manifest needs it
     import numpy  # here, not at module level: importing the CLI loads no numpy
 
     (out_dir / "manifest.json").unlink(missing_ok=True)  # a failed rerun must not look complete
@@ -116,7 +125,7 @@ def _from_json(kind: type, value):
 # simulate
 
 def cmd_simulate(a) -> int:
-    _bind("SimConfig", "run", "turnover")
+    _bind("asdict", "SCHEMAS", "write_files", "SimConfig", "run", "turnover")
     started = time.monotonic()
     config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
     _check_out_dir(Path(a.out_dir))
@@ -135,7 +144,7 @@ def cmd_simulate(a) -> int:
 # fit
 
 def cmd_fit(a) -> int:
-    _bind("fit_alpha")
+    _bind("asdict", "read_sales_column", "fit_alpha")
     _print_json(asdict(fit_alpha(read_sales_column(Path(a.input)), s_min=a.s_min)))
     return 0
 
@@ -144,7 +153,7 @@ def cmd_fit(a) -> int:
 # turnover
 
 def cmd_turnover(a) -> int:
-    _bind("turnover", "calibrate_mu")
+    _bind("asdict", "load_chart", "turnover", "calibrate_mu")
     lists = load_chart(Path(a.input))
     if a.y < 1:
         raise ValueError(f"y must be >= 1, got {a.y}")
@@ -160,9 +169,15 @@ def cmd_turnover(a) -> int:
 # optimize
 
 def cmd_optimize(a) -> int:
-    _bind("InventoryParams", "bruteforce_stock")
+    _bind("asdict", "InventoryParams", "bruteforce_stock")
     params = InventoryParams(profit_per_item=a.A, turnover_cost=a.B, mu=a.mu, alpha=a.alpha, y_max=a.y_max)
-    _print_json(asdict(bruteforce_stock(params)))
+    with warnings.catch_warnings():  # reported below as one line that names the flag
+        warnings.filterwarnings("ignore", "objective still increasing", UserWarning)
+        result = bruteforce_stock(params)
+    if result.capped:
+        print(f"warning: --y-max: objective still increasing at y_max={a.y_max}; result is capped",
+              file=sys.stderr)
+    _print_json(asdict(result))
     return 0
 
 
@@ -278,6 +293,7 @@ def cmd_reproduce(a) -> int:
     if a.figure not in PRESETS:
         raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {a.figure!r}")
     _check_out_dir(Path(a.out_dir))
+    _bind("asdict", "SCHEMAS", "write_files", "Series", "loglog_svg")  # each preset binds its numeric names
     config, files = PRESETS[a.figure](a)
     _write_outputs(Path(a.out_dir), f"reproduce {a.figure}", config, a.seed, files, started)
     return 0
@@ -444,9 +460,12 @@ def main(argv=None) -> int:
         return COMMANDS[name].handler(_resolve(name, passed))
     except (ValueError, OSError) as exc:
         print(f"error: {_flagged(str(exc), name)}", file=sys.stderr)
-        _bind("InsufficientDataError")
-        if isinstance(exc, InsufficientDataError):
-            return 4
+        # only a loaded analysis module raises one, so argv refused before any
+        # compute (a missing flag, a bad --config) loads no numpy here either
+        if "longtail.analysis" in sys.modules:
+            _bind("InsufficientDataError")
+            if isinstance(exc, InsufficientDataError):
+                return 4
         return 2 if isinstance(exc, ValueError) else 3
 
 

@@ -85,6 +85,7 @@ class InventoryResult:
     y_closed_form_floor: int
     y_bruteforce: int
     objective_at_optimum: float
+    capped: bool  # the objective still increases at y_max: the unbounded optimum lies beyond it
     note: str | None = None
 
 
@@ -103,7 +104,8 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
     The marginal gain of rank y is A*y^-alpha - B*sqrt(mu), strictly
     decreasing in y, so the objective is unimodal: the search only needs to
     cover ranks up to the root of the marginal condition. Ties resolve to
-    the smaller y. Warns when the objective is still increasing at y_max.
+    the smaller y. When the objective is still increasing at y_max, warns
+    and marks the result ``capped``.
 
     Raises ValueError, before any scan, when the scan limit
     min(y_max, ceil(marginal root) + 1) exceeds MAX_SCAN ranks. Raises it
@@ -172,6 +174,7 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
         y_closed_form_floor=cf_floor,
         y_bruteforce=y_star,
         objective_at_optimum=best,
+        capped=capped,
         note=DISAGREEMENT_NOTE if cf_floor != y_star else None,
     )
 

@@ -5,8 +5,9 @@ the sampler draws from the target distribution by inverse CDF, the
 searchsorted step picks each copier's product by binary search over the
 running sales totals, the enumeration scans the stocking objective value by
 value, the whole-array argmax takes one cumsum over every scanned rank, the
-high-precision sum recomputes the objective with 50-digit arithmetic, and
-Ewens' sampling formula gives the expected number of live products.
+high-precision sum recomputes the objective with 50-digit arithmetic,
+Ewens' sampling formula gives the expected number of live products, and the
+Borel law gives the frequencies of small cumulative sales.
 The CSV writer and readers are the earlier ones built on ``csv.writer``,
 ``csv.DictReader`` and a ``csv.reader`` loop numbering rows by count.
 """
@@ -71,6 +72,22 @@ def step_searchsorted(state: SimState, config: SimConfig, rng: np.random.Generat
 def ewens_expected_types(n: int, theta: float) -> float:
     """Expected number of distinct types among n, Ewens' sampling formula: sum of theta/(theta+i), i < n."""
     return math.fsum(theta / (theta + i) for i in range(n))
+
+
+def borel_pmf(s: int, lam: float) -> float:
+    """Borel law e^(-lam*s) (lam*s)^(s-1) / s!: total progeny of a Poisson(lam) branching process.
+
+    In the copying model every sale of a product draws, in the next period,
+    Binomial(N - k, 1/N) copies, about Poisson(1 - mu) since k ~ mu*N
+    innovators do not copy; so a product's cumulative sales over its life are
+    Borel with lam = 1 - mu. That treats the copies of each sale as
+    independent of all others, which holds only while the product's share s/N
+    of the N purchases a period is small: a larger product draws from a
+    market whose fixed size it depletes, so the law describes s << N only.
+    The products still alive at a run's last step count only the sales they
+    had so far; over many steps they are a small share of the sample.
+    """
+    return math.exp(-lam * s + (s - 1) * math.log(lam * s) - math.lgamma(s + 1))
 
 
 def objective(y: int, params: InventoryParams) -> float:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -315,6 +316,7 @@ def test_optimize_reports_both_optima_with_note(capsys):
     assert payload["y_closed_form_floor"] == 1
     assert payload["y_closed_form"] == pytest.approx(20 ** (1 / 4.5), rel=1e-12)
     assert payload["note"]  # the two optima differ here
+    assert payload["capped"] is False
 
 
 def test_optimize_no_note_when_optima_agree(capsys):
@@ -334,6 +336,17 @@ def test_optimize_invalid_mu_exit_2(capsys):
     assert run_cli("optimize", "--A", 1, "--B", 1, "--mu", 0) == 2
 
 
+@pytest.mark.filterwarnings("error")  # the library's UserWarning does not escape either
+def test_optimize_reports_a_capped_answer_on_stdout_and_in_one_stderr_line(capsys):
+    # a script could tell a capped answer only from a UserWarning with cli.py's source lines
+    assert run_cli("optimize", "--A", 1000, "--B", 0.01, "--mu", 0.01, "--alpha", 1.5, "--y-max", 50) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["capped"] is True
+    assert payload["y_bruteforce"] == 50
+    assert captured.err == "warning: --y-max: objective still increasing at y_max=50; result is capped\n"
+
+
 @pytest.mark.filterwarnings("error")  # refused before the "still increasing" warning too
 def test_optimize_refuses_a_scan_past_the_bound_at_once(capsys):
     # the objective still rises at y_max = 10^12: the scan ran for hours
@@ -345,7 +358,8 @@ def test_optimize_refuses_a_scan_past_the_bound_at_once(capsys):
 
 def test_a_patched_numeric_name_survives_the_first_dispatch(monkeypatch, capsys):
     # perfbench's tracer and the tests replace cli's numeric names before the handler binds them
-    stub = InventoryResult(y_closed_form=0.5, y_closed_form_floor=0, y_bruteforce=7, objective_at_optimum=1.5)
+    stub = InventoryResult(y_closed_form=0.5, y_closed_form_floor=0, y_bruteforce=7, objective_at_optimum=1.5,
+                           capped=False)
     monkeypatch.setattr(cli, "bruteforce_stock", lambda params: stub)
     assert run_cli("optimize", "--A", 10, "--B", 1, "--mu", 0.25) == 0
     assert read_json(capsys) == asdict(stub)
@@ -481,30 +495,72 @@ def _probe(script):
 
 
 def test_importing_and_rejecting_argv_load_no_numpy():
-    # numpy took half of the import time of the CLI; only a command that computes
-    # needs it, and a command loads only the modules it calls
+    # numpy took half of the import time of the CLI, and the file I/O, plotting,
+    # dataclasses and platform most of the rest; only a command that computes
+    # needs them, and a command loads only the modules it calls
     script = """
 import contextlib, io, sys
+DEFERRED = ('numpy', 'dataclasses', 'platform', 'csv', 'longtail.chartdata', 'longtail.svgplot')
+def loaded():
+    return [m for m in DEFERRED if m in sys.modules]
 import longtail
-seen = ['numpy' in sys.modules]
+seen = [loaded()]
 import longtail.cli as cli
-seen.append('numpy' in sys.modules)
-for argv in (['--version'], ['--help'], ['simulate', '--n', 'x'], ['optimize', '--A', '10', '--B', '1', '--mu', '0.25']):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        seen.append((cli.main(argv), 'numpy' in sys.modules))
+seen.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (['--version'], ['--help'], ['simulate', '--n', 'x'], ['simulate', '--n', '10']):
+        seen.append((cli.main(argv), loaded()))
+    seen.append((cli.main(['optimize', '--A', '10', '--B', '1', '--mu', '0.25']), 'numpy' in sys.modules))
 print(seen)
 print(sorted(m for m in sys.modules if m.startswith('longtail.') or m == 'decimal'))
 """
     assert _probe(script).splitlines() == [
-        "[False, False, (0, False), (0, False), (2, False), (0, True)]",
-        "['longtail.chartdata', 'longtail.cli', 'longtail.defaults', 'longtail.inventory', 'longtail.svgplot']",
+        # argparse refuses --n x; the flag table refuses the missing --mu, --steps and --out-dir
+        "[[], [], (0, []), (0, []), (2, []), (2, []), (0, True)]",
+        "['longtail.cli', 'longtail.defaults', 'longtail.inventory']",
     ]
+
+
+# every name perfbench's tracer wraps on cli, and the module that defines it
+CLI_TRACED = {
+    "run": "longtail.model",
+    "turnover": "longtail.analysis",
+    "fit_alpha": "longtail.analysis",
+    "run_turnover_sweep": "longtail.experiments",
+    "bruteforce_stock": "longtail.inventory",
+    "load_chart": "longtail.chartdata",
+    "loglog_svg": "longtail.svgplot",
+}
 
 
 def test_a_numeric_name_resolves_on_the_cli_before_any_dispatch():
     # the path perfbench's tracer takes: getattr on the freshly imported module
-    script = "import longtail.cli as cli\nrun = getattr(cli, 'run')\nimport longtail.model\nprint(run is longtail.model.run)\n"
-    assert _probe(script) == "True\n"
+    spec = importlib.util.spec_from_file_location("tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {attr for bindings in tracing.SITES.values() for module, attr in bindings if module == "cli"}
+    assert traced == {*CLI_TRACED, "main"}
+    script = f"""
+import importlib
+import longtail.cli as cli
+for name, module in {CLI_TRACED!r}.items():
+    value = getattr(cli, name)
+    print(name, value is getattr(importlib.import_module(module), name))
+"""
+    assert _probe(script).splitlines() == [f"{name} True" for name in CLI_TRACED]
+
+
+def test_a_traced_plot_survives_the_first_reproduce(tmp_path):
+    # the tracer wraps cli.loglog_svg before any dispatch; reproduce must call the wrapper
+    script = f"""
+import longtail.cli as cli
+plot = getattr(cli, 'loglog_svg')
+calls = []
+cli.loglog_svg = lambda *args, **kwargs: calls.append(1) or plot(*args, **kwargs)
+print(cli.main(['reproduce', '--figure', '3', '--out-dir', {str(tmp_path / "out")!r}]), len(calls))
+"""
+    assert _probe(script) == "0 1\n"
+    assert (tmp_path / "out" / "inventory_curves.svg").read_text().startswith("<svg")
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +693,7 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (RIGHT_ARGS + ["--workers", -3], "--workers"),
         # the objective overflows float64 at y = 2; it printed y 2 and a NaN objective
         (OPT_ARGS + ["--A", 1.7e308, "--B", 1.7e308, "--mu", 1, "--alpha", 0.1], "--B"),
-        pytest.param(
-            OPT_ARGS + ["--A", 1.7e308, "--mu", 1, "--alpha", 0.1, "--y-max", 10], "--A",
-            marks=pytest.mark.filterwarnings("ignore:objective still increasing"),
-        ),
+        (OPT_ARGS + ["--A", 1.7e308, "--mu", 1, "--alpha", 0.1, "--y-max", 10], "--A"),
         # a zero ratio stocks nothing; it failed in the plot, after the compute, unflagged
         (CURVE_ARGS + ["--ab-ratios", "0"], "--ab-ratios"),
         (CURVE_ARGS + ["--ab-ratios", "10,-0.0"], "--ab-ratios"),
@@ -791,7 +844,7 @@ def fuzz_calls(draw):
     return argv, config, draw(st.sampled_from(["sales.csv", "chart.csv", "missing.csv"]))
 
 
-@pytest.mark.filterwarnings("ignore")  # capped scans and float overflow warn; that is not a crash
+@pytest.mark.filterwarnings("ignore")  # float overflow warns; that is not a crash
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(call=fuzz_calls())
 def test_cli_never_crashes_on_arbitrary_values(call):

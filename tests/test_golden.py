@@ -46,10 +46,10 @@ GOLDEN = {
         "stdout": "729ad8ff3f6f08cfa427f43dc75cf0e4891e04c34ea7502c3cc66c4a290f6a74",
     },
     "optimize": {
-        "stdout": "970e877f555a58a6b3096a545ee41b7adc11b746290711628a725ecaaed42ca3",
+        "stdout": "85e16e7b2c02dd782c41c19fd244463c90dbecc970e7e22299bd5496f39997f5",
     },
     "optimize-capped": {
-        "stdout": "45309fe4663330c5715f0d94c34bb0b6ed5adef5f830dd4c2ccad6fada1a3d21",
+        "stdout": "ccd613ee3f7df7b9693e57fb7d2c28bd28d04546a729087acef65acc3387374e",
     },
     "reproduce-2left": {
         "exponent_fits.json": "213ca933a13948c6038b223c296606756c64098e13450482cf70b12a45fadfba",
@@ -112,7 +112,7 @@ def digests(case: str, tmp_path) -> dict[str, str]:
     return result
 
 
-@pytest.mark.filterwarnings("ignore:objective still increasing")
+@pytest.mark.filterwarnings("error:objective still increasing")  # the CLI reports it on one stderr line
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_recorded_digests(case, tmp_path):
     assert digests(case, tmp_path) == GOLDEN[case]
