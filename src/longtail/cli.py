@@ -403,8 +403,11 @@ def _read_config(path: str, name: str) -> dict:
     by (and required for any non-string value of) a list-typed flag; a number
     only by an int flag when whole, or by a float flag; a boolean by no flag.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259), whatever the locale
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer past the digit limit
+            raise ValueError(f"--config: {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"--config: {path} must hold a JSON object")
     flags = {flag.dest: flag for flag in COMMANDS[name].flags}

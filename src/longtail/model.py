@@ -70,7 +70,6 @@ class SimState:
     the state: ``run`` keeps them.
     """
 
-    period: int
     product_ids: np.ndarray
     sales: np.ndarray
     next_product_id: int
@@ -93,7 +92,7 @@ def init_state(config: SimConfig) -> SimState:
     ids = np.arange(x0, dtype=np.int64)
     sales = np.full(x0, config.n_agents // x0, dtype=np.int64)
     sales[: config.n_agents % x0] += 1
-    return SimState(period=0, product_ids=ids, sales=sales, next_product_id=x0)
+    return SimState(product_ids=ids, sales=sales, next_product_id=x0)
 
 
 def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimState:
@@ -141,12 +140,7 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     del counts
     new_ids = np.arange(state.next_product_id, state.next_product_id + k, dtype=np.int64)
     product_ids = np.concatenate([state.product_ids[survived[:size]], new_ids])
-    return SimState(
-        period=state.period + 1,
-        product_ids=product_ids,
-        sales=sales,
-        next_product_id=state.next_product_id + k,
-    )
+    return SimState(product_ids=product_ids, sales=sales, next_product_id=state.next_product_id + k)
 
 
 def run(config: SimConfig, y: int = 5, *, cumulative: bool = True) -> tuple[np.ndarray | None, list[list[int]]]:
@@ -180,9 +174,9 @@ def run(config: SimConfig, y: int = 5, *, cumulative: bool = True) -> tuple[np.n
         if config.burn_in == 0:
             totals[state.product_ids] = state.sales
     lists = [rank_top(state.product_ids, state.sales, y).tolist()]
-    for _ in range(config.steps):
+    for period in range(1, config.steps + 1):
         state = step(state, config, rng)
-        if totals is not None and state.period > config.burn_in:
+        if totals is not None and period > config.burn_in:
             totals[state.product_ids] += state.sales
         lists.append(rank_top(state.product_ids, state.sales, y).tolist())
     if totals is not None:

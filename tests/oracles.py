@@ -61,12 +61,7 @@ def step_searchsorted(state: SimState, config: SimConfig, rng: np.random.Generat
     product_ids = np.concatenate([state.product_ids[survived], new_ids])
     sales = np.concatenate([counts[survived], np.ones(k, dtype=np.int64)])
 
-    return SimState(
-        period=state.period + 1,
-        product_ids=product_ids,
-        sales=sales,
-        next_product_id=state.next_product_id + k,
-    )
+    return SimState(product_ids=product_ids, sales=sales, next_product_id=state.next_product_id + k)
 
 
 def ewens_expected_types(n: int, theta: float) -> float:

@@ -15,7 +15,6 @@ from longtail.analysis import (
     fit_turnover_exponent,
     turnover,
 )
-from longtail.model import rank_top
 from oracles import power_law_samples
 
 
@@ -64,22 +63,6 @@ def test_fit_alpha_scale_covariance(factor):
     base = fit_alpha(samples, s_min=1.0)
     scaled = fit_alpha(samples * factor, s_min=factor)
     assert scaled.alpha == pytest.approx(base.alpha, rel=1e-9)
-
-
-def _top_y(ids, sales, y):
-    return rank_top(np.array(ids, dtype=np.int64), np.array(sales, dtype=np.int64), y).tolist()
-
-
-def test_top_y_breaks_ties_by_ascending_id():
-    assert _top_y([0, 1, 2], [5, 3, 3], 2) == [0, 1]
-
-
-def test_top_y_with_fewer_products_than_y():
-    assert _top_y([4], [5], 3) == [4]
-
-
-def test_top_y_sorts_by_sales_descending():
-    assert _top_y([0, 1, 2, 3], [1, 2, 3, 4], 2) == [3, 2]
 
 
 def test_turnover_identical_lists_is_zero():

@@ -31,45 +31,21 @@ def test_load_chart_accepts_sales_column(tmp_path):
     assert load_chart(path) == [[10, 11], [10, 12]]
 
 
-def test_load_chart_rejects_duplicates(tmp_path):
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("period,product_id\n0,10\n2,11\n", "consecutive"),
+        ("time,item\n0,10\n", "header"),
+        ("period,product_id\n0,abc\n", "integer"),
+        ("", "empty"),
+        ("period,product_id\n", "no data"),
+    ],
+    ids=["gap", "header", "non-integer", "empty", "headers-only"],
+)
+def test_load_chart_rejects_a_malformed_chart(tmp_path, text, message):
     path = tmp_path / "chart.csv"
-    write_chart(path, ["0,10", "0,10"])
-    with pytest.raises(ValueError, match="duplicate"):
-        load_chart(path)
-
-
-def test_load_chart_rejects_noncontiguous_periods(tmp_path):
-    path = tmp_path / "chart.csv"
-    write_chart(path, ["0,10", "2,11"])
-    with pytest.raises(ValueError, match="consecutive"):
-        load_chart(path)
-
-
-def test_load_chart_rejects_bad_header(tmp_path):
-    path = tmp_path / "chart.csv"
-    write_chart(path, ["0,10"], header="time,item")
-    with pytest.raises(ValueError, match="header"):
-        load_chart(path)
-
-
-def test_load_chart_rejects_non_integer_values(tmp_path):
-    path = tmp_path / "chart.csv"
-    write_chart(path, ["0,abc"])
-    with pytest.raises(ValueError, match="integer"):
-        load_chart(path)
-
-
-def test_load_chart_rejects_empty_file(tmp_path):
-    path = tmp_path / "chart.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        load_chart(path)
-
-
-def test_load_chart_rejects_headers_only(tmp_path):
-    path = tmp_path / "chart.csv"
-    write_chart(path, [])
-    with pytest.raises(ValueError, match="no data"):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         load_chart(path)
 
 

@@ -1,10 +1,6 @@
 """Ensemble drivers: seed derivation, reproducibility, histograms, sweeps."""
 
 import concurrent.futures
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +14,6 @@ from longtail.experiments import (
     run_sales_distribution,
     run_turnover_sweep,
 )
-from longtail.inventory import InventoryParams, closed_form_stock, inventory_curve
 from oracles import borel_pmf
 
 SMALL_SPEC = SweepSpec(
@@ -36,13 +31,6 @@ def test_run_seeds_are_pure_and_distinct():
     seeds = {derive_run_seed(7, cell, rep) for cell in range(30) for rep in range(10)}
     assert len(seeds) == 300
     assert derive_run_seed(8, 3, 1) != derive_run_seed(7, 3, 1)
-
-
-def test_sweep_is_bit_reproducible():
-    result_a, fit_a = run_turnover_sweep(SMALL_SPEC)
-    result_b, fit_b = run_turnover_sweep(SMALL_SPEC)
-    assert [c.z_bar_runs for c in result_a.cells] == [c.z_bar_runs for c in result_b.cells]
-    assert (fit_a.slope, fit_a.intercept, fit_a.r_squared) == (fit_b.slope, fit_b.intercept, fit_b.r_squared)
 
 
 def test_sweep_record_count_and_cell_order():
@@ -97,24 +85,6 @@ def test_sweep_pool_is_clamped_to_cells_and_cpus(monkeypatch, workers, cpus, poo
     assert sizes == ([] if pool_size is None else [pool_size])
     serial, _ = run_turnover_sweep(SMALL_SPEC)
     assert [c.z_bar_runs for c in result.cells] == [c.z_bar_runs for c in serial.cells]
-
-
-def test_importing_the_cli_loads_no_process_pool():
-    # a serial call never needs multiprocessing; importing it cost about 2 MB
-    import longtail
-
-    src = Path(longtail.__file__).resolve().parents[1]
-    probe = (
-        "import sys, longtail.cli; "
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', 'numpy.random') "
-        "if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "[]"
 
 
 def test_sweep_names_a_cell_without_turnover():
@@ -203,10 +173,3 @@ def test_small_sales_follow_the_borel_law():
 def test_sales_distribution_rejects_bad_target():
     with pytest.raises(ValueError, match="target"):
         run_sales_distribution(targets=(200.0,), n_agents=100, steps=50, replicates=1)
-
-
-
-def test_inventory_curves_delegate_matches_closed_form():
-    points = inventory_curve(alpha=3.5, ab_ratios=(100.0,), mu_grid=(0.01, 0.1))
-    params = InventoryParams(profit_per_item=100.0, turnover_cost=1.0, mu=0.1, alpha=3.5)
-    assert points[1].y_value == closed_form_stock(params)[0]

@@ -15,7 +15,6 @@ from oracles import ewens_expected_types, step_searchsorted
 
 def test_init_one_product_per_agent():
     state = init_state(SimConfig(n_agents=4, mu=0.1, steps=10))
-    assert state.period == 0
     assert state.product_ids.tolist() == [0, 1, 2, 3]
     assert state.sales.tolist() == [1, 1, 1, 1]
     assert state.next_product_id == 4
@@ -98,14 +97,6 @@ def test_innovator_rate_matches_mu():
     assert 195 <= np.mean(created) <= 205
 
 
-def test_run_is_deterministic():
-    config = SimConfig(n_agents=100, mu=0.01, steps=10, seed=42)
-    cumulative_a, lists_a = run(config, y=5)
-    cumulative_b, lists_b = run(config, y=5)
-    assert cumulative_a.tolist() == cumulative_b.tolist()
-    assert lists_a == lists_b
-
-
 def test_run_records_every_period():
     _, lists = run(SimConfig(n_agents=30, mu=0.1, steps=25, seed=3), y=4)
     assert len(lists) == 26
@@ -122,47 +113,6 @@ def test_rank_top_prefers_lower_id_on_ties():
     sales = np.array([2, 7, 7], dtype=np.int64)
     assert rank_top(ids, sales, 2).tolist() == [5, 9]
     assert rank_top(ids, sales, 10).tolist() == [5, 9, 3]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n_agents=st.integers(min_value=1, max_value=50),
-    mu=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    steps=st.integers(min_value=1, max_value=12),
-    seed=st.integers(min_value=0, max_value=2**32),
-    x0_fraction=st.floats(min_value=0.0, max_value=1.0),
-    burn_in_fraction=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_trajectory_invariants(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
-    x0 = max(1, round(x0_fraction * n_agents))
-    burn_in = min(steps - 1, round(burn_in_fraction * (steps - 1)))
-    config = SimConfig(n_agents=n_agents, mu=mu, steps=steps, x0=x0, seed=seed, burn_in=burn_in)
-    rng = np.random.default_rng(config.seed)
-    state = init_state(config)
-    extinct: set[int] = set()
-    previous_live = set(state.product_ids.tolist())
-    created = x0
-    for _ in range(steps):
-        previous_next_id = state.next_product_id
-        state = step(state, config, rng)
-        created += state.next_product_id - previous_next_id
-        live = set(state.product_ids.tolist())
-
-        assert int(state.sales.sum()) == n_agents  # one purchase per agent
-        assert state.sales.min() >= 1  # zero-sellers are removed
-        assert state.product_ids.size <= n_agents
-        assert live & extinct == set()  # extinction is permanent
-        assert state.next_product_id >= previous_next_id
-        assert np.all(np.diff(state.product_ids) > 0)  # ids ascending, unique
-
-        extinct |= previous_live - live
-        previous_live = live
-    assert state.next_product_id == created
-    cumulative, _ = run(config)  # the same seed walks the same trajectory
-    assert len(cumulative) == created
-    assert np.all(cumulative[state.product_ids] >= state.sales)
-    counted_periods = steps - burn_in + (burn_in == 0)
-    assert int(cumulative.sum()) == n_agents * counted_periods
 
 
 # mu in {0, 1} and fractional mu*N, x0 < N, burn_in from 0 to steps - 1
@@ -193,6 +143,7 @@ def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     state = oracle = init_state(config)
     names = ("product_ids", "sales")
+    extinct: set[int] = set()
     for _ in range(steps):
         previous = state
         before = [getattr(previous, name).copy() for name in names]
@@ -200,12 +151,18 @@ def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction
         oracle = step_searchsorted(oracle, config, oracle_rng)
         for name, array in zip(names, before):  # the input state is left as it was
             assert np.array_equal(getattr(previous, name), array), name
-        assert state.period == oracle.period
         for name in names:
             got, want = getattr(state, name), getattr(oracle, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert state.next_product_id == oracle.next_product_id
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        # the rules of the market, which the oracle shares, checked on their own
+        assert int(state.sales.sum()) == n_agents  # one purchase per agent
+        assert state.sales.min() >= 1  # zero-sellers are removed
+        assert np.all(np.diff(state.product_ids) > 0)  # ids strictly ascending
+        live = set(state.product_ids.tolist())
+        assert live.isdisjoint(extinct)  # extinction is permanent
+        extinct |= set(previous.product_ids.tolist()) - live
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,34 +184,22 @@ def test_run_cumulative_matches_oracle_trajectory(n_agents, mu, steps, seed, x0_
             totals.update(dict(zip(oracle.product_ids.tolist(), oracle.sales.tolist())))
     want = np.array([totals[i] for i in range(oracle.next_product_id)], dtype=np.int64)
 
-    cumulative, _ = run(config)
+    cumulative, lists = run(config)
     assert cumulative.dtype == want.dtype and np.array_equal(cumulative, want)
     assert len(cumulative) == oracle.next_product_id <= config.x0 + steps * math.ceil(mu * n_agents)
-
-
-@settings(max_examples=40, deadline=None)
-@oracle_cases
-def test_run_without_cumulative_returns_the_same_series(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
-    config = oracle_config(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction)
-    nothing, lists = run(config, y=3, cumulative=False)
-    assert nothing is None
-    assert lists == run(config, y=3)[1]
-
-
-@settings(max_examples=40, deadline=None)
-@oracle_cases
-def test_every_product_sells_at_least_once_without_burn_in(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
-    # period 0 gives each initial product N // x0 >= 1 sales and a newcomer
-    # sells once in its first period, so no entry of cumulative is 0
-    config = oracle_config(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction=0.0)
-    assert run(config)[0].min() >= 1
+    assert int(cumulative.sum()) == n_agents * (steps - burn_in + (burn_in == 0))  # N sales a counted period
+    if burn_in == 0:
+        # period 0 gives each initial product N // x0 >= 1 sales and a newcomer
+        # sells once in its first period, so no entry of cumulative is 0
+        assert cumulative.min() >= 1
+    assert run(config, cumulative=False) == (None, lists)  # the same draws, no sales summed
 
 
 @pytest.mark.parametrize("sales", [[2, 1], [3, 3]])
 def test_step_rejects_sales_not_summing_to_n_agents(sales):
     # a short owner table ended in an IndexError; a long one sampled a prefix of it
     config = SimConfig(n_agents=4, mu=0.0, steps=1)
-    state = SimState(period=0, product_ids=np.arange(2), sales=np.array(sales), next_product_id=2)
+    state = SimState(product_ids=np.arange(2), sales=np.array(sales), next_product_id=2)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"n_agents = 4, got {sum(sales)}"):
@@ -329,14 +274,3 @@ def test_live_products_match_ewens_from_above():
     ewens = ewens_expected_types(n, 2 * n * mu)
     assert 19.86 < ewens < 19.87
     assert ewens <= np.mean(counts) <= 1.06 * ewens
-
-
-def test_winner_take_all_contrast_fast():
-    # regime contrast at reduced scale; the full protocol runs in acceptance
-    shares = {0.005: [], 0.05: []}
-    for mu, bucket in shares.items():
-        for replicate in range(10):
-            config = SimConfig(n_agents=100, mu=mu, steps=300, seed=1000 + replicate)
-            cumulative, _ = run(config, y=1)
-            bucket.append(cumulative.max() / cumulative.sum())
-    assert np.median(shares[0.005]) > np.median(shares[0.05])
