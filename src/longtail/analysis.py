@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class PowerLawFit:
 class TurnoverStats:
     z_per_period: list[int]
     z_bar: float
-    as_fraction: float  # z_bar / y
 
 
 @dataclass
@@ -42,7 +41,7 @@ class LogLogFit:
     r_squared: float
 
 
-def fit_alpha(samples: Iterable[float], s_min: float = 1) -> PowerLawFit:
+def fit_alpha(samples: Sequence[float] | np.ndarray, s_min: float = 1) -> PowerLawFit:
     """ML estimate of the exponent alpha for P(s) ~ s^-alpha, s >= s_min.
 
     Uses the continuous-approximation estimator
@@ -54,7 +53,7 @@ def fit_alpha(samples: Iterable[float], s_min: float = 1) -> PowerLawFit:
     if not 1 <= s_min < math.inf:
         raise ValueError(f"s_min must be finite and >= 1, got {s_min}")
     try:
-        s = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
+        s = np.asarray(samples, dtype=float)
     except OverflowError:
         raise ValueError("a sample exceeds the largest float") from None
     s = s[s >= s_min]
@@ -68,9 +67,9 @@ def fit_alpha(samples: Iterable[float], s_min: float = 1) -> PowerLawFit:
     return PowerLawFit(alpha=alpha, s_min=s_min, n_samples=n, std_error=(alpha - 1.0) / math.sqrt(n))
 
 
-def turnover(lists: list[list[int]], y: int) -> TurnoverStats:
+def turnover(lists: list[list[int]]) -> TurnoverStats:
     """Per-period count of list entrants, z_t = |top(t) \\ top(t-1)|, over the
-    ranked lists that ``model.run`` returns; ``y`` only scales ``as_fraction``."""
+    ranked lists that ``model.run`` returns."""
     if len(lists) < 2:
         raise InsufficientDataError("turnover needs at least 2 recorded periods")
     z = []
@@ -79,11 +78,7 @@ def turnover(lists: list[list[int]], y: int) -> TurnoverStats:
         current = set(current_list)
         z.append(len(current - prev))
         prev = current
-    z_bar = sum(z) / len(z)
-    # z_bar / y as one correctly rounded integer division: equal to the float
-    # quotient for every y < 2**53, with no OverflowError for a y past every float
-    num, den = z_bar.as_integer_ratio()
-    return TurnoverStats(z_per_period=z, z_bar=z_bar, as_fraction=num / (den * y))
+    return TurnoverStats(z_per_period=z, z_bar=sum(z) / len(z))
 
 
 def expected_turnover(y: int, mu: float) -> float:

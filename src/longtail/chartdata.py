@@ -4,8 +4,9 @@
 comma-separated word after the colon is the header written. ``write_files``
 writes every file of an output directory: CSV rows, a JSON payload or text.
 
-A CSV file has a header row and CRLF line ends; floats are written with 17
-significant digits, so values round-trip exactly. A chart file has header
+Every file is read and written as UTF-8, whatever the locale. A CSV file
+has a header row and CRLF line ends; floats are written with 17 significant
+digits, so values round-trip exactly. A chart file has header
 ``period,product_id[,sales]`` and one row per item per period in rank order,
 with consecutive periods and no repeated (period, product_id) pair. Errors
 name ``<path>:<line>``, where the bad record ends, or ``<path>`` for bad bytes.
@@ -49,14 +50,14 @@ def write_files(out_dir: Path, files: dict) -> None:
         if name.endswith(".csv"):
             write_csv(out_dir / name, _header(name), content)
         elif name.endswith(".json"):
-            (out_dir / name).write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+            (out_dir / name).write_text(json.dumps(content, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         else:
-            (out_dir / name).write_text(content)
+            (out_dir / name).write_text(content, encoding="utf-8")
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Stream a header and rows; no cell needs quoting, so the bytes are the csv module's default dialect."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(
             ",".join([format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row]) + "\r\n"
@@ -66,7 +67,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 @contextmanager
 def _csv_reader(path: Path):
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             yield reader

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -130,7 +129,7 @@ def cmd_simulate(a) -> int:
     config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
     _check_out_dir(Path(a.out_dir))
     cumulative, lists = run(config, y=a.y)
-    stats = turnover(lists, a.y)
+    stats = turnover(lists)
     files = {
         "cumulative_sales.csv": enumerate(cumulative.tolist()),
         "top_products.csv": ((period, pid) for period, ids in enumerate(lists) for pid in ids),
@@ -160,8 +159,9 @@ def cmd_turnover(a) -> int:
     shortest = min(len(l) for l in lists)
     if a.y > shortest:
         raise ValueError(f"y {a.y} exceeds the shortest per-period list length ({shortest})")
-    stats = turnover([l[: a.y] for l in lists], a.y)
-    _print_json({**asdict(stats), "mu_hat": calibrate_mu(stats.as_fraction)})
+    stats = turnover([l[: a.y] for l in lists])
+    fraction = stats.z_bar / a.y  # a.y <= shortest < 2**53: the correctly rounded quotient
+    _print_json({**asdict(stats), "as_fraction": fraction, "mu_hat": calibrate_mu(fraction)})
     return 0
 
 
@@ -171,9 +171,7 @@ def cmd_turnover(a) -> int:
 def cmd_optimize(a) -> int:
     _bind("asdict", "InventoryParams", "bruteforce_stock")
     params = InventoryParams(profit_per_item=a.A, turnover_cost=a.B, mu=a.mu, alpha=a.alpha, y_max=a.y_max)
-    with warnings.catch_warnings():  # reported below as one line that names the flag
-        warnings.filterwarnings("ignore", "objective still increasing", UserWarning)
-        result = bruteforce_stock(params)
+    result = bruteforce_stock(params)
     if result.capped:
         print(f"warning: --y-max: objective still increasing at y_max={a.y_max}; result is capped",
               file=sys.stderr)

@@ -109,7 +109,7 @@ def _run_cell(spec: SweepSpec, task: tuple[int, tuple[int, float]]) -> CellResul
         seed = derive_run_seed(spec.master_seed, cell_index, replicate)
         config = SimConfig(n_agents=n_agents, mu=mu, steps=spec.steps, seed=seed)
         _, lists = run(config, y=spec.y, cumulative=False)  # only the top lists are read
-        z_bars.append(turnover(lists, spec.y).z_bar)
+        z_bars.append(turnover(lists).z_bar)
     values = np.array(z_bars)
     return CellResult(
         n_agents=n_agents,

@@ -23,7 +23,6 @@ grow with y_max, while its run time stays linear in min(y_max, marginal root).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +103,8 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
     The marginal gain of rank y is A*y^-alpha - B*sqrt(mu), strictly
     decreasing in y, so the objective is unimodal: the search only needs to
     cover ranks up to the root of the marginal condition. Ties resolve to
-    the smaller y. When the objective is still increasing at y_max, warns
-    and marks the result ``capped``.
+    the smaller y. When the objective is still increasing at y_max, the
+    result's ``capped`` field reports it, and nothing else does.
 
     Raises ValueError, before any scan, when the scan limit
     min(y_max, ceil(marginal root) + 1) exceeds MAX_SCAN ranks. Raises it
@@ -132,8 +131,6 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
             f"y_max {params.y_max} leaves {limit} ranks to scan, more than the {MAX_SCAN} "
             f"the exact search allows; lower it to at most {MAX_SCAN}"
         )
-    if capped:
-        warnings.warn(f"objective still increasing at y_max={params.y_max}; result is capped", stacklevel=2)
     if not math.isfinite(cost * limit):
         raise ValueError(
             f"turnover_cost * sqrt(mu) * y overflows float64 at the scan limit y = {limit} "

@@ -8,12 +8,14 @@ value, the whole-array argmax takes one cumsum over every scanned rank, the
 high-precision sum recomputes the objective with 50-digit arithmetic,
 Ewens' sampling formula gives the expected number of live products, and the
 Borel law gives the frequencies of small cumulative sales.
+``traced_peak`` measures the peak of Python-traced memory over one call.
 The CSV writer and readers are the earlier ones built on ``csv.writer``,
 ``csv.DictReader`` and a ``csv.reader`` loop numbering rows by count.
 """
 
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -22,6 +24,16 @@ import numpy as np
 from longtail.chartdata import CHART_HEADERS
 from longtail.inventory import InventoryParams
 from longtail.model import SimConfig, SimState
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Call ``fn(*args, **kwargs)`` under tracemalloc; return (result, peak bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def power_law_samples(alpha: float, n: int, s_min: float, seed: int) -> np.ndarray:
@@ -143,7 +155,7 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -151,7 +163,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _read_sales_column(path: Path) -> list[int]:
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         column = next((c for c in ("sales", "cumulative_sales") if c in fields), None)
@@ -173,7 +185,7 @@ def _read_sales_column(path: Path) -> list[int]:
 def load_chart(path: str | Path) -> list[list[int]]:
     """Per-period ranked product-id lists from a chart CSV."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -66,46 +66,25 @@ def test_fit_alpha_scale_covariance(factor):
 
 
 def test_turnover_identical_lists_is_zero():
-    stats = turnover([[1, 2, 3]] * 4, 3)
+    stats = turnover([[1, 2, 3]] * 4)
     assert stats.z_per_period == [0, 0, 0]
     assert stats.z_bar == 0.0
-    assert stats.as_fraction == 0.0
 
 
 def test_turnover_disjoint_lists_is_y():
-    stats = turnover([[1, 2, 3], [4, 5, 6]], 3)
+    stats = turnover([[1, 2, 3], [4, 5, 6]])
     assert stats.z_per_period == [3]
     assert stats.z_bar == 3.0
-    assert stats.as_fraction == 1.0
 
 
 def test_turnover_single_entrant():
-    stats = turnover([[1, 2, 3], [1, 3, 4]], 3)
+    stats = turnover([[1, 2, 3], [1, 3, 4]])
     assert stats.z_per_period == [1]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    entrants=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=20),
-    y=st.integers(min_value=1, max_value=2**53 - 1),
-)
-def test_turnover_fraction_is_the_float_quotient(entrants, y):
-    # every period lists only new ids, so z_t is the length of list t
-    lists = [[]] + [list(range(1000 * t, 1000 * t + n)) for t, n in enumerate(entrants, start=1)]
-    stats = turnover(lists, y)
-    assert stats.z_per_period == entrants
-    assert stats.as_fraction == stats.z_bar / y
-
-
-def test_turnover_fraction_for_a_y_beyond_every_float():
-    stats = turnover([[1], [2]], 10**400)
-    assert stats.z_bar == 1.0
-    assert stats.as_fraction == 0.0  # 1e-400 underflows
 
 
 def test_turnover_needs_two_periods():
     with pytest.raises(InsufficientDataError):
-        turnover([[1, 2, 3]], 3)
+        turnover([[1, 2, 3]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -115,8 +94,8 @@ def test_turnover_invariant_under_relabeling(seed):
     lists = [rng.choice(50, size=5, replace=False).tolist() for _ in range(8)]
     relabel = rng.permutation(50).tolist()
     relabeled = [[relabel[i] for i in lst] for lst in lists]
-    original = turnover(lists, 5)
-    mapped = turnover(relabeled, 5)
+    original = turnover(lists)
+    mapped = turnover(relabeled)
     assert original.z_per_period == mapped.z_per_period
 
 

@@ -4,7 +4,6 @@ import csv
 import io
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,12 +61,7 @@ def test_load_chart_memory_is_bounded(tmp_path):
     path = tmp_path / "chart.csv"
     rows = [f"{p},{1000 + p * 2 + rank},{10 - rank}" for p in range(1000) for rank in range(10)]
     write_chart(path, rows, header="period,product_id,sales")
-    tracemalloc.start()
-    try:
-        lists = load_chart(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    lists, peak = oracles.traced_peak(load_chart, path)
     assert len(lists) == 1000 and lists[1][:2] == [1002, 1003]
     assert peak < 1_300_000  # 0.86 MB; with a set of (period, id) pairs beside the lists, 1.7 MB
 

@@ -132,6 +132,16 @@ def test_fit_sales_beyond_every_float_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: a sample exceeds the largest float\n"
 
 
+def test_fit_reads_utf8_under_the_c_locale(tmp_path, capsys):
+    # the CSV readers decoded with the locale's codec: under C, 'ascii' failed on the é, exit 2
+    path = tmp_path / "sales.csv"
+    path.write_bytes("name,sales\ncafé,3\ntea,1\nbun,7\n".encode())
+    assert run_cli("fit", "--input", path) == 0
+    script = f"import sys; from longtail.cli import main; sys.exit(main(['fit', '--input', {str(path)!r}]))"
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    assert _probe(script, **c_locale) == capsys.readouterr().out
+
+
 def test_fit_missing_file_exit_3(tmp_path):
     assert run_cli("fit", "--input", tmp_path / "nope.csv") == 3
 
@@ -174,6 +184,7 @@ def test_turnover_static_chart(tmp_path, capsys):
     assert run_cli("turnover", "--input", path, "--y", 3) == 0
     payload = read_json(capsys)
     assert payload["z_bar"] == 0.0
+    assert payload["as_fraction"] == 0.0
     assert payload["mu_hat"] == 0.0
 
 
@@ -279,8 +290,8 @@ def test_optimize_no_note_when_optima_agree(capsys):
 
 
 def test_optimize_reports_a_capped_answer_on_stdout_and_in_one_stderr_line(capsys):
-    # a script could tell a capped answer only from a UserWarning with cli.py's source lines;
-    # the library's UserWarning does not escape either (pytest turns warnings into errors)
+    # a script reads a capped answer from the JSON's "capped" field, a person from one
+    # stderr line that names the flag; the library adds no warning beside them
     assert run_cli("optimize", "--A", 1000, "--B", 0.01, "--mu", 0.01, "--alpha", 1.5, "--y-max", 50) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
@@ -291,7 +302,7 @@ def test_optimize_reports_a_capped_answer_on_stdout_and_in_one_stderr_line(capsy
 
 def test_optimize_refuses_a_scan_past_the_bound_at_once(capsys):
     # the objective still rises at y_max = 10^12: the scan ran for hours; it is
-    # refused before the "still increasing" warning too, which would fail here
+    # refused before the "still increasing" line
     started = time.monotonic()
     assert run_cli("optimize", "--A", 1e12, "--B", 1, "--mu", 0.01, "--alpha", 1, "--y-max", 10**12) == 2
     assert time.monotonic() - started < 1
@@ -400,12 +411,14 @@ def test_version_flag(capsys):
     assert "longtail" in capsys.readouterr().out
 
 
-def _probe(script):
-    """Run script in a fresh interpreter that imports longtail from this checkout; its stdout."""
+def _probe(script, **env):
+    """Run script in a fresh interpreter that imports longtail from this checkout; its stdout.
+
+    ``env`` overrides variables of the current environment."""
     src = Path(cli.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src), **env},
         capture_output=True, text=True, check=True,
     ).stdout
 

@@ -1,7 +1,6 @@
 """Stocking objective, closed form vs exact argmax, and curve properties."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -17,7 +16,7 @@ from longtail.inventory import (
     closed_form_stock,
     inventory_curve,
 )
-from oracles import argmax_by_enumeration, bruteforce_whole_array, objective, objective_highprec
+from oracles import argmax_by_enumeration, bruteforce_whole_array, objective, objective_highprec, traced_peak
 
 
 def _params(a=10.0, b=1.0, mu=0.25, alpha=3.5, y_max=1_000_000):
@@ -84,10 +83,9 @@ def test_bruteforce_boundary_cost_dominates():
     assert bruteforce_stock(_params(a=0.5, b=1.0, mu=0.25)).y_bruteforce == 0
 
 
-def test_bruteforce_warns_when_ymax_too_small():
-    with pytest.warns(UserWarning, match="y_max"):
-        result = bruteforce_stock(_params(a=1000.0, b=0.01, mu=0.01, alpha=1.5, y_max=50))
-    assert result.y_bruteforce == 50
+def test_bruteforce_marks_a_capped_answer():
+    result = bruteforce_stock(_params(a=1000.0, b=0.01, mu=0.01, alpha=1.5, y_max=50))
+    assert result.capped and result.y_bruteforce == 50
 
 
 @settings(max_examples=100, deadline=None)
@@ -120,7 +118,6 @@ def assert_same_as_whole_array(params):
     assert repr(result.objective_at_optimum) == repr(best)  # exact bits
 
 
-@pytest.mark.filterwarnings("ignore:objective still increasing")
 @pytest.mark.parametrize(
     "y_max",
     # one block of 65 536 ranks -1/+0/+1 and 3 blocks + 7, then the same
@@ -134,7 +131,6 @@ def test_block_scan_matches_whole_array_when_capped(y_max):
     assert_same_as_whole_array(params)
 
 
-@pytest.mark.filterwarnings("ignore:objective still increasing")
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -163,7 +159,6 @@ def test_tie_across_a_block_boundary_goes_to_the_smaller_y():
         assert_same_as_whole_array(params)
 
 
-@pytest.mark.filterwarnings("ignore:objective still increasing")
 @settings(max_examples=100, deadline=None)
 @given(
     a=st.floats(min_value=0.0, max_value=1e4),
@@ -179,21 +174,13 @@ def test_small_blocks_match_whole_array(a, b, mu, alpha, y_max, block):
         assert_same_as_whole_array(params)
 
 
-@pytest.mark.filterwarnings("ignore:objective still increasing")
 def test_capped_scan_stays_below_one_megabyte():
     # reads 0.27 MB: four block buffers of 8192 float64; blocks of 65 536
     # ranks with a fresh array per step peaked at 2.6 MB
-    params = _params(**CAPPED)
-    tracemalloc.start()
-    try:
-        bruteforce_stock(params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(bruteforce_stock, _params(**CAPPED))
     assert peak < 1_000_000
 
 
-@pytest.mark.filterwarnings("ignore:objective still increasing")
 @pytest.mark.parametrize(
     "kwargs,field",
     [
@@ -213,12 +200,10 @@ def test_overflowing_objective_is_refused(kwargs, field):
 
 def test_overflowing_marginal_root_caps_the_scan():
     # (A/(B*sqrt(mu)))^(1/alpha) = 1e2000 is past every float
-    with pytest.warns(UserWarning, match="y_max"):
-        result = bruteforce_stock(_params(a=1e10, b=1e-10, mu=1.0, alpha=0.01, y_max=10))
-    assert result.y_bruteforce == 10
+    result = bruteforce_stock(_params(a=1e10, b=1e-10, mu=1.0, alpha=0.01, y_max=10))
+    assert result.capped and result.y_bruteforce == 10
 
 
-# refused before the "still increasing" warning, which would fail the test
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -1,7 +1,6 @@
 """Core simulator: initialization, stepping rules, invariants, determinism."""
 
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longtail.model import SimConfig, SimState, init_state, rank_top, run, step
-from oracles import ewens_expected_types, step_searchsorted
+from oracles import ewens_expected_types, step_searchsorted, traced_peak
 
 
 def test_init_one_product_per_agent():
@@ -210,12 +209,7 @@ def test_step_rejects_sales_not_summing_to_n_agents(sales):
 def test_step_memory_is_bounded():
     config = SimConfig(n_agents=100_000, mu=0.001, steps=1)
     rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        step(init_state(config), config, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: step(init_state(config), config, rng))
     # init_state holds two 0.8 MB arrays; this kernel measured 3.22 MB. The
     # searchsorted kernel peaked at 8.0 MB, and a step that also copied the
     # cumulative array into one a period longer, with a buffered take, at 4.82 MB.
@@ -224,12 +218,7 @@ def test_step_memory_is_bounded():
 
 def test_run_memory_is_bounded():
     config = SimConfig(n_agents=100_000, mu=0.001, steps=300)
-    tracemalloc.start()
-    try:
-        run(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run, config)
     # the 1.04 MB cumulative buffer plus one step: measured 4.26 MB. A run
     # whose every step rebuilt the cumulative array peaked at 4.82 MB.
     assert peak < 4_600_000
@@ -237,12 +226,7 @@ def test_run_memory_is_bounded():
 
 def test_run_without_cumulative_allocates_no_buffer():
     config = SimConfig(n_agents=1000, mu=0.5, steps=200, seed=1)
-    tracemalloc.start()
-    try:
-        run(config, cumulative=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run, config, cumulative=False)
     # the cumulative buffer alone is 0.81 MB (1000 + 200 * 500 int64 slots);
     # with it the run peaked at 0.90 MB, without it at 0.09 MB
     assert peak < 300_000

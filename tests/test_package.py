@@ -1,6 +1,8 @@
-"""The package's export list."""
+"""The package's export list and the README's library example."""
 
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,10 @@ def test_all_lists_every_public_name():
     assert longtail.run is longtail.model.run
     with pytest.raises(AttributeError, match="no_such_name"):
         longtail.no_such_name
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```", section, re.S | re.M).group(1)
+    exec(compile(code, "README.md", "exec"), {})
