@@ -17,7 +17,8 @@ _SUBMODULE = {
                      "log_binned_histogram", "run_sales_distribution", "run_turnover_sweep"), "experiments"),
     **dict.fromkeys(("CurvePoint", "InventoryParams", "InventoryResult", "bruteforce_stock", "closed_form_stock",
                      "inventory_curve"), "inventory"),
-    **dict.fromkeys(("SimConfig", "SimState", "init_state", "rank_top", "run", "step"), "model"),
+    **dict.fromkeys(("SimConfig", "SimState", "init_state", "rank_top", "run", "step", "top_lists",
+                     "trajectory"), "model"),
 }
 
 __all__ = sorted(_SUBMODULE)

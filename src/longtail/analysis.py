@@ -67,17 +67,22 @@ def fit_alpha(samples: Sequence[float] | np.ndarray, s_min: float = 1) -> PowerL
     return PowerLawFit(alpha=alpha, s_min=s_min, n_samples=n, std_error=(alpha - 1.0) / math.sqrt(n))
 
 
-def turnover(lists: list[list[int]]) -> TurnoverStats:
-    """Per-period count of list entrants, z_t = |top(t) \\ top(t-1)|, over the
-    ranked lists that ``model.run`` returns."""
-    if len(lists) < 2:
-        raise InsufficientDataError("turnover needs at least 2 recorded periods")
+def turnover(lists: Iterable[list[int]]) -> TurnoverStats:
+    """Per-period count of list entrants, z_t = |top(t) \\ top(t-1)|, over
+    ranked lists in period order: a list, or a one-shot iterable such as
+    ``model.top_lists``, read once and not kept.
+
+    Raises InsufficientDataError for fewer than 2 periods.
+    """
+    periods = iter(lists)
+    prev = set(next(periods, ()))
     z = []
-    prev = set(lists[0])
-    for current_list in lists[1:]:
+    for current_list in periods:
         current = set(current_list)
         z.append(len(current - prev))
         prev = current
+    if not z:
+        raise InsufficientDataError("turnover needs at least 2 recorded periods")
     return TurnoverStats(z_per_period=z, z_bar=sum(z) / len(z))
 
 

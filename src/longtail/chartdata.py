@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,19 +41,29 @@ CHART_HEADERS = (_header("top_products.csv"), _header("top_products.csv") + ["sa
 
 
 def write_files(out_dir: Path, files: dict) -> None:
-    """Create out_dir and write each file by its suffix.
+    """Create out_dir and write each file by its suffix, in order.
 
     ``files`` maps a file name to its rows for .csv (the header comes from
-    ``SCHEMAS``), a payload for .json and text for anything else.
+    ``SCHEMAS``), a payload for .json and text for anything else. Each file
+    is written under a temporary name in out_dir, then renamed over its own
+    name, so a file holds either its previous bytes or its new ones. When a
+    write fails, its temporary file is removed and the error propagates; the
+    files before it are already in place and those after it are untouched.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        if name.endswith(".csv"):
-            write_csv(out_dir / name, _header(name), content)
-        elif name.endswith(".json"):
-            (out_dir / name).write_text(json.dumps(content, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        else:
-            (out_dir / name).write_text(content, encoding="utf-8")
+        temporary = out_dir / f".{name}.{os.getpid()}.tmp"
+        try:
+            if name.endswith(".csv"):
+                write_csv(temporary, _header(name), content)
+            elif name.endswith(".json"):
+                temporary.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            else:
+                temporary.write_text(content, encoding="utf-8")
+            os.replace(temporary, out_dir / name)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:

@@ -33,7 +33,7 @@ from .analysis import (
     turnover,
 )
 from .defaults import DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAULT_NMU_TARGETS
-from .model import SimConfig, run
+from .model import SimConfig, run, top_lists
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ def _run_cell(spec: SweepSpec, task: tuple[int, tuple[int, float]]) -> CellResul
     for replicate in range(spec.runs_per_cell):
         seed = derive_run_seed(spec.master_seed, cell_index, replicate)
         config = SimConfig(n_agents=n_agents, mu=mu, steps=spec.steps, seed=seed)
-        _, lists = run(config, y=spec.y, cumulative=False)  # only the top lists are read
-        z_bars.append(turnover(lists).z_bar)
+        z_bars.append(turnover(top_lists(config, spec.y)).z_bar)  # each list is read once, as it is made
     values = np.array(z_bars)
     return CellResult(
         n_agents=n_agents,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -143,42 +144,60 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     return SimState(product_ids=product_ids, sales=sales, next_product_id=state.next_product_id + k)
 
 
-def run(config: SimConfig, y: int = 5, *, cumulative: bool = True) -> tuple[np.ndarray | None, list[list[int]]]:
+def trajectory(config: SimConfig) -> Iterator[SimState]:
+    """Yield the period-0 state, then the state after each of ``config.steps`` steps.
+
+    All steps draw from one ``default_rng(config.seed)``, so identical
+    configs yield identical states. Only states are yielded: a consumer
+    that drops its reference to a state before asking for the next one
+    holds one state at a time.
+    """
+    rng = np.random.default_rng(config.seed)
+    state = init_state(config)
+    yield state
+    for _ in range(config.steps):
+        state = step(state, config, rng)
+        yield state
+
+
+def top_lists(config: SimConfig, y: int = 5) -> Iterator[list[int]]:
+    """The ids of each period's top-y sellers, ranked as by ``rank_top``, one
+    list per state of ``trajectory(config)``, made as they are read.
+
+    Raises ValueError for y < 1 when called, before any step.
+    """
+    if y < 1:
+        raise ValueError(f"y must be >= 1, got {y}")
+    return (rank_top(state.product_ids, state.sales, y).tolist() for state in trajectory(config))
+
+
+def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, list[list[int]]]:
     """Run init plus ``config.steps`` steps, recording the top-y list each period.
 
     Returns ``(cumulative, lists)``: ``cumulative[i]`` is product i's sales
     summed over the counted periods (period 0 when ``burn_in`` is 0, then
     every period after ``burn_in``), for every product ever created;
-    ``lists[t]`` holds the ids of period t's top-y sellers, ranked as by
-    ``rank_top``, for the steps+1 periods (period 0 included). With
-    ``cumulative=False`` no sales are summed and the first item is None; the
-    draws and the lists are the same. Identical (config, y) inputs
-    reproduce identical results.
+    ``lists`` equals ``list(top_lists(config, y))``, the steps+1 periods'
+    top lists (period 0 included), from the same draws. Identical
+    (config, y) inputs reproduce identical results. A caller that reads
+    only the top lists, like the turnover sweep, streams ``top_lists``
+    instead and keeps neither the buffer nor the lists.
 
     Raises ValueError naming ``steps``, before the first step, when numpy
     cannot allocate the cumulative-sales buffer.
     """
     if y < 1:
         raise ValueError(f"y must be >= 1, got {y}")
-    rng = np.random.default_rng(config.seed)
-    state = init_state(config)
-    totals = None
-    if cumulative:
-        # step creates at most ceil(mu*N) products a period (the same float
-        # product it rounds), so this one buffer holds every id run can reach
-        bound = config.x0 + config.steps * math.ceil(config.mu * config.n_agents)
-        try:
-            totals = np.zeros(bound, dtype=np.int64)
-        except (MemoryError, ValueError) as exc:
-            raise ValueError(f"steps {config.steps} need a cumulative-sales buffer numpy cannot allocate: {exc}") from None
-        if config.burn_in == 0:
-            totals[state.product_ids] = state.sales
-    lists = [rank_top(state.product_ids, state.sales, y).tolist()]
-    for period in range(1, config.steps + 1):
-        state = step(state, config, rng)
-        if totals is not None and period > config.burn_in:
+    # step creates at most ceil(mu*N) products a period (the same float
+    # product it rounds), so this one buffer holds every id run can reach
+    bound = config.x0 + config.steps * math.ceil(config.mu * config.n_agents)
+    try:
+        totals = np.zeros(bound, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"steps {config.steps} need a cumulative-sales buffer numpy cannot allocate: {exc}") from None
+    lists = []
+    for period, state in enumerate(trajectory(config)):
+        if config.burn_in == 0 or period > config.burn_in:
             totals[state.product_ids] += state.sales
         lists.append(rank_top(state.product_ids, state.sales, y).tolist())
-    if totals is not None:
-        totals = totals[: state.next_product_id]
-    return totals, lists
+    return totals[: state.next_product_id], lists

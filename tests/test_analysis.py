@@ -65,26 +65,35 @@ def test_fit_alpha_scale_covariance(factor):
     assert scaled.alpha == pytest.approx(base.alpha, rel=1e-9)
 
 
+def turnover_of_list_and_iterator(lists):
+    """turnover of a list of lists; a one-shot iterator over it, like model.top_lists, must give the same."""
+    stats = turnover(lists)
+    assert turnover(iter(lists)) == stats
+    return stats
+
+
 def test_turnover_identical_lists_is_zero():
-    stats = turnover([[1, 2, 3]] * 4)
+    stats = turnover_of_list_and_iterator([[1, 2, 3]] * 4)
     assert stats.z_per_period == [0, 0, 0]
     assert stats.z_bar == 0.0
 
 
 def test_turnover_disjoint_lists_is_y():
-    stats = turnover([[1, 2, 3], [4, 5, 6]])
+    stats = turnover_of_list_and_iterator([[1, 2, 3], [4, 5, 6]])
     assert stats.z_per_period == [3]
     assert stats.z_bar == 3.0
 
 
 def test_turnover_single_entrant():
-    stats = turnover([[1, 2, 3], [1, 3, 4]])
+    stats = turnover_of_list_and_iterator([[1, 2, 3], [1, 3, 4]])
     assert stats.z_per_period == [1]
 
 
 def test_turnover_needs_two_periods():
-    with pytest.raises(InsufficientDataError):
-        turnover([[1, 2, 3]])
+    for lists in ([], [[1, 2, 3]]):
+        for given_as in (list, iter):
+            with pytest.raises(InsufficientDataError):
+                turnover(given_as(lists))
 
 
 @settings(max_examples=50, deadline=None)

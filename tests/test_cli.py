@@ -77,21 +77,26 @@ def test_manifest_records_numpy_and_python_versions(tmp_path):
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys, monkeypatch):
-    args = ["simulate", "--n", 50, "--mu", 0.02, "--steps", 10, "--out-dir", tmp_path / "out"]
+    out = tmp_path / "out"
+    args = ["simulate", "--n", 50, "--mu", 0.02, "--steps", 10, "--out-dir", out]
     assert run_cli(*args) == 0
-    assert (tmp_path / "out" / "manifest.json").exists()
+    assert (out / "manifest.json").exists()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
     write_csv, written = chartdata.write_csv, []
 
     def fail_on_second_file(path, header, rows):
         written.append(path)
         if len(written) == 2:
+            Path(path).write_text("period,prod")  # the disk fills part-way through the file
             raise OSError(f"{path}: disk full")
         write_csv(path, header, rows)
 
     monkeypatch.setattr(chartdata, "write_csv", fail_on_second_file)
     assert run_cli(*args) == 3
     assert len(written) == 2
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    # no manifest and no temporary file; the half-written file and the one
+    # after it keep the previous run's bytes
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -14,7 +14,7 @@ from longtail.experiments import (
     run_sales_distribution,
     run_turnover_sweep,
 )
-from oracles import borel_pmf
+from oracles import borel_pmf, traced_peak
 
 SMALL_SPEC = SweepSpec(
     n_grid=(50, 100),
@@ -173,3 +173,12 @@ def test_small_sales_follow_the_borel_law():
 def test_sales_distribution_rejects_bad_target():
     with pytest.raises(ValueError, match="target"):
         run_sales_distribution(targets=(200.0,), n_agents=100, steps=50, replicates=1)
+
+
+def test_sweep_cell_keeps_no_lists_or_buffer():
+    spec = SweepSpec(n_grid=(1000,), mu_grid=(0.01, 0.02, 0.05), steps=4000, runs_per_cell=1)
+    _, peak = traced_peak(experiments._run_cell, spec, (0, (1000, 0.05)))
+    # streamed top lists peaked at 57 KB, flat in steps. Storing the 4001
+    # lists peaked at 1.12 MB, and a cumulative buffer (1000 + 4000 * 50
+    # int64 slots) would add 1.6 MB.
+    assert peak < 300_000

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from longtail.cli import main
@@ -116,3 +117,13 @@ def digests(case: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_recorded_digests(case, tmp_path):
     assert digests(case, tmp_path) == GOLDEN[case]
+
+
+def test_numpy_streams_match_the_recorded_ones():
+    # step draws with Generator.random (the innovator coin) and .integers (the
+    # copiers); every digest above rests on these two PCG64 streams
+    first = (np.random.default_rng(0).random(), np.random.default_rng(0).integers(0, 500, size=8).tolist())
+    assert first == (0.6369616873214543, [425, 318, 255, 134, 153, 20, 37, 8]), (
+        f"numpy {np.__version__} draws {first} from default_rng(0): its streams changed, so the digests"
+        " above (recorded with numpy 2.4.6) fail for that cause, not for a change in longtail"
+    )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longtail.model import SimConfig, SimState, init_state, rank_top, run, step
+from longtail.model import SimConfig, SimState, init_state, rank_top, run, step, top_lists
 from oracles import ewens_expected_types, step_searchsorted, traced_peak
 
 
@@ -191,7 +191,7 @@ def test_run_cumulative_matches_oracle_trajectory(n_agents, mu, steps, seed, x0_
         # period 0 gives each initial product N // x0 >= 1 sales and a newcomer
         # sells once in its first period, so no entry of cumulative is 0
         assert cumulative.min() >= 1
-    assert run(config, cumulative=False) == (None, lists)  # the same draws, no sales summed
+    assert list(top_lists(config, 5)) == lists  # the same draws, no sales summed
 
 
 @pytest.mark.parametrize("sales", [[2, 1], [3, 3]])
@@ -222,14 +222,6 @@ def test_run_memory_is_bounded():
     # the 1.04 MB cumulative buffer plus one step: measured 4.26 MB. A run
     # whose every step rebuilt the cumulative array peaked at 4.82 MB.
     assert peak < 4_600_000
-
-
-def test_run_without_cumulative_allocates_no_buffer():
-    config = SimConfig(n_agents=1000, mu=0.5, steps=200, seed=1)
-    _, peak = traced_peak(run, config, cumulative=False)
-    # the cumulative buffer alone is 0.81 MB (1000 + 200 * 500 int64 slots);
-    # with it the run peaked at 0.90 MB, without it at 0.09 MB
-    assert peak < 300_000
 
 
 def test_live_products_match_ewens_from_above():
