@@ -1,8 +1,8 @@
 """Command-line interface: simulate, fit, turnover, optimize, reproduce.
 
 Every file is read and written by ``chartdata``, whose ``SCHEMAS`` table
-holds each CSV file's versioned header (see also the README); commands hand
-it rows, JSON payloads and SVG text. Every output directory receives a
+holds each CSV file's versioned header (see also the README). Handlers only
+compute; ``main`` prints their JSON or writes their files, with a
 manifest.json echoing the resolved configuration, seed and tool version
 needed to reproduce the outputs bit-exactly.
 
@@ -33,12 +33,12 @@ from .defaults import DEFAULT_AB_RATIOS, DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAUL
 # imported at module level. The numeric modules (analysis, experiments,
 # inventory, model) import numpy, and the file I/O (chartdata, with csv), the
 # plotting (svgplot) and dataclasses.asdict (with inspect) took most of the
-# rest of this module's import time. Each handler binds the names it calls
-# (_bind), the I/O, plotting and asdict names before the numeric ones. So
-# --help, --version and rejected argv load none of them, and a command loads
-# only the modules it calls. __getattr__ resolves the names below and the
-# package's public names, so that a tracer or a test can replace cli.run,
-# cli.load_chart and the like first.
+# rest of this module's import time. main binds asdict and a writing command's
+# I/O names, then the handler its plotting and numeric names (_bind), in that
+# order. So --help, --version and rejected argv load none of them, and a
+# command loads only the modules it calls. __getattr__ resolves the names
+# below and the package's public names, so that a tracer or a test can
+# replace cli.run, cli.load_chart and the like first.
 LAZY = {
     **dict.fromkeys(("SCHEMAS", "load_chart", "read_sales_column", "write_files"), "longtail.chartdata"),
     **dict.fromkeys(("Series", "loglog_svg"), "longtail.svgplot"),
@@ -61,17 +61,15 @@ def _bind(*names: str) -> None:
             __getattr__(name)
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
     """Write the files (see ``chartdata.write_files``), then manifest.json, the completion marker."""
     import platform  # here, not at module level: only a manifest needs it
     import numpy  # here, not at module level: importing the CLI loads no numpy
 
+    computed = time.monotonic()
     (out_dir / "manifest.json").unlink(missing_ok=True)  # a failed rerun must not look complete
     write_files(out_dir, files)
+    written = time.monotonic()
     manifest = {
         "tool": "longtail",
         "version": __version__,
@@ -83,7 +81,8 @@ def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict,
         "seed": seed,
         "outputs": sorted(files),
         "schemas": {name: SCHEMAS[name] for name in sorted(files) if name in SCHEMAS},
-        "duration_seconds": time.monotonic() - started,
+        "duration_seconds": written - started,
+        "timings": {"compute_s": computed - started, "write_s": written - computed},
     }
     write_files(out_dir, {"manifest.json": manifest})
 
@@ -123,36 +122,31 @@ def _from_json(kind: type, value):
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(a) -> int:
-    _bind("asdict", "SCHEMAS", "write_files", "SimConfig", "run", "turnover")
-    started = time.monotonic()
+def cmd_simulate(a) -> tuple:
+    _bind("SimConfig", "run", "turnover")
     config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
-    _check_out_dir(Path(a.out_dir))
     cumulative, lists = run(config, y=a.y)
     stats = turnover(lists)
-    files = {
+    return "simulate", {**asdict(config), "y": a.y}, config.seed, {  # (command, config, seed, files)
         "cumulative_sales.csv": enumerate(cumulative.tolist()),
         "top_products.csv": ((period, pid) for period, ids in enumerate(lists) for pid in ids),
         "turnover.csv": enumerate(stats.z_per_period, start=1),
     }
-    _write_outputs(Path(a.out_dir), "simulate", {**asdict(config), "y": a.y}, config.seed, files, started)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # fit
 
-def cmd_fit(a) -> int:
-    _bind("asdict", "read_sales_column", "fit_alpha")
-    _print_json(asdict(fit_alpha(read_sales_column(Path(a.input)), s_min=a.s_min)))
-    return 0
+def cmd_fit(a) -> dict:
+    _bind("read_sales_column", "fit_alpha")
+    return asdict(fit_alpha(read_sales_column(Path(a.input)), s_min=a.s_min))
 
 
 # ---------------------------------------------------------------------------
 # turnover
 
-def cmd_turnover(a) -> int:
-    _bind("asdict", "load_chart", "turnover", "calibrate_mu")
+def cmd_turnover(a) -> dict:
+    _bind("load_chart", "turnover", "calibrate_mu")
     lists = load_chart(Path(a.input))
     if a.y < 1:
         raise ValueError(f"y must be >= 1, got {a.y}")
@@ -161,22 +155,20 @@ def cmd_turnover(a) -> int:
         raise ValueError(f"y {a.y} exceeds the shortest per-period list length ({shortest})")
     stats = turnover([l[: a.y] for l in lists])
     fraction = stats.z_bar / a.y  # a.y <= shortest < 2**53: the correctly rounded quotient
-    _print_json({**asdict(stats), "as_fraction": fraction, "mu_hat": calibrate_mu(fraction)})
-    return 0
+    return {**asdict(stats), "as_fraction": fraction, "mu_hat": calibrate_mu(fraction)}
 
 
 # ---------------------------------------------------------------------------
 # optimize
 
-def cmd_optimize(a) -> int:
-    _bind("asdict", "InventoryParams", "bruteforce_stock")
+def cmd_optimize(a) -> dict:
+    _bind("InventoryParams", "bruteforce_stock")
     params = InventoryParams(profit_per_item=a.A, turnover_cost=a.B, mu=a.mu, alpha=a.alpha, y_max=a.y_max)
     result = bruteforce_stock(params)
     if result.capped:
         print(f"warning: --y-max: objective still increasing at y_max={a.y_max}; result is capped",
               file=sys.stderr)
-    _print_json(asdict(result))
-    return 0
+    return asdict(result)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +278,12 @@ def _inventory_curves(a):
 PRESETS = {"2left": _sales_distribution, "2right": _turnover_sweep, "3": _inventory_curves}
 
 
-def cmd_reproduce(a) -> int:
-    started = time.monotonic()
+def cmd_reproduce(a) -> tuple:
     if a.figure not in PRESETS:
         raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {a.figure!r}")
-    _check_out_dir(Path(a.out_dir))
-    _bind("asdict", "SCHEMAS", "write_files", "Series", "loglog_svg")  # each preset binds its numeric names
+    _bind("Series", "loglog_svg")  # each preset binds its numeric names
     config, files = PRESETS[a.figure](a)
-    _write_outputs(Path(a.out_dir), f"reproduce {a.figure}", config, a.seed, files, started)
-    return 0
+    return f"reproduce {a.figure}", config, a.seed, files
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +383,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Object(dict):
+    """A JSON object that also keeps its (key, value) pairs, a repeated key's included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _read_config(path: str, name: str) -> dict:
     """Config values by dest, converted as the flag's own text would be; nulls dropped.
 
     A string goes through the flag's type; a non-empty list is accepted only
     by (and required for any non-string value of) a list-typed flag; a number
     only by an int flag when whole, or by a float flag; a boolean by no flag.
+    A flag set by two keys (``n`` twice, or ``burn-in`` and ``burn_in``) is refused.
     """
     with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259), whatever the locale
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_Object)
         except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer past the digit limit
             raise ValueError(f"--config: {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"--config: {path} must hold a JSON object")
     flags = {flag.dest: flag for flag in COMMANDS[name].flags}
-    values = {}
-    for key, value in data.items():
+    values, seen = {}, set()
+    for key, value in data.pairs:
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             raise ValueError(f"--config: unknown key {key!r} for '{name}'")
+        if flag.dest in seen:
+            raise ValueError(f"{flag.name}: set twice in --config {path}")
+        seen.add(flag.dest)
         if value is None:
             continue
         try:
@@ -458,7 +459,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     name = passed.pop("command")
     try:
-        return COMMANDS[name].handler(_resolve(name, passed))
+        a = _resolve(name, passed)
+        if not hasattr(a, "out_dir"):
+            _bind("asdict")
+            print(json.dumps(COMMANDS[name].handler(a), indent=2, sort_keys=True))
+            return 0
+        _check_out_dir(Path(a.out_dir))
+        started = time.monotonic()
+        _bind("asdict", "SCHEMAS", "write_files")  # before the handler binds numpy: see LAZY
+        _write_outputs(Path(a.out_dir), *COMMANDS[name].handler(a), started)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {_flagged(str(exc), name)}", file=sys.stderr)
         # only a loaded analysis module raises one, so argv refused before any

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Sequence
 
 PALETTE = (
@@ -31,6 +32,11 @@ WIDTH = 720
 HEIGHT = 540
 PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+
+# attribute sets shared by several elements, in the order they are written
+GRID = {"stroke": "#dddddd", "stroke_width": 1}
+TICK = {"font_family": "sans-serif", "font_size": 11}
+AXIS_LABEL = {"text_anchor": "middle", "font_family": "sans-serif", "font_size": 13}
 
 
 @dataclass
@@ -54,6 +60,24 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _element(tag: str, text: str | list[str] | None = None, **attrs) -> str:
+    """One element, and the only place markup is written: attributes keep their order, a float value gets
+    two decimals, ``_`` in a name becomes ``-``, and text and values are escaped. No text closes the
+    element; a list is child markup, one element a line."""
+    head = tag
+    for name, value in attrs.items():
+        value = _escape(_fmt(value) if isinstance(value, float) else str(value)).replace('"', "&quot;")
+        head += f' {name.replace("_", "-")}="{value}"'
+    if text is None:
+        return f"<{head}/>"
+    body = "\n" + "\n".join(text) + "\n" if isinstance(text, list) else _escape(text)
+    return f"<{head}>{body}</{tag}>"
+
+
 def loglog_svg(series: Sequence[Series], title: str, x_label: str, y_label: str) -> str:
     """Render series with positive coordinates as a log-log SVG plot."""
     xs = [float(v) for s in series for v in s.x]
@@ -73,78 +97,42 @@ def loglog_svg(series: Sequence[Series], title: str, x_label: str, y_label: str)
         return MARGIN_TOP + PLOT_H - (exponent - y_lo) / (y_hi - y_lo) * PLOT_H
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{_fmt(WIDTH / 2)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        _element("rect", width=WIDTH, height=HEIGHT, fill="white"),
+        _element("text", title, x=WIDTH / 2, y=24, text_anchor="middle", font_family="sans-serif", font_size=16),
     ]
 
     # decade grid and tick labels
     for exponent in range(x_lo, x_hi + 1):
         x = px(exponent)
-        out.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(MARGIN_TOP + PLOT_H)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">1e{exponent}</text>'
-        )
+        out.append(_element("line", x1=x, y1=MARGIN_TOP, x2=x, y2=MARGIN_TOP + PLOT_H, **GRID))
+        out.append(_element("text", f"1e{exponent}", x=x, y=MARGIN_TOP + PLOT_H + 18, text_anchor="middle", **TICK))
     for exponent in range(y_lo, y_hi + 1):
         y = py(exponent)
-        out.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT + PLOT_W)}" '
-            f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{exponent}</text>'
-        )
+        out.append(_element("line", x1=MARGIN_LEFT, y1=y, x2=MARGIN_LEFT + PLOT_W, y2=y, **GRID))
+        out.append(_element("text", f"1e{exponent}", x=MARGIN_LEFT - 8, y=y + 4, text_anchor="end", **TICK))
 
     # frame and axis labels
-    out.append(
-        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(PLOT_W)}" '
-        f'height="{_fmt(PLOT_H)}" fill="none" stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<text x="{_fmt(MARGIN_LEFT + PLOT_W / 2)}" y="{_fmt(HEIGHT - 12)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{_fmt(MARGIN_TOP + PLOT_H / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_fmt(MARGIN_TOP + PLOT_H / 2)})">{y_label}</text>'
-    )
+    mid_y = MARGIN_TOP + PLOT_H / 2
+    out.append(_element("rect", x=MARGIN_LEFT, y=MARGIN_TOP, width=PLOT_W, height=PLOT_H, fill="none",
+                        stroke="black", stroke_width=1))
+    out.append(_element("text", x_label, x=MARGIN_LEFT + PLOT_W / 2, y=HEIGHT - 12.0, **AXIS_LABEL))
+    out.append(_element("text", y_label, x=18, y=mid_y, **AXIS_LABEL, transform=f"rotate(-90 18 {_fmt(mid_y)})"))
 
-    for index, s in enumerate(series):
-        color = PALETTE[index % len(PALETTE)]
+    # each series' line and markers, and its legend entry, top right inside the frame
+    legend_x = MARGIN_LEFT + PLOT_W - 170
+    legend_y = MARGIN_TOP + 12
+    legend = [_element("rect", x=legend_x - 8, y=legend_y - 12, width=178, height=18.0 * len(series) + 8,
+                       fill="white", stroke="#999999", stroke_width="0.5")]
+    for index, (s, color) in enumerate(zip(series, cycle(PALETTE))):
         points = [(px(math.log10(float(x))), py(math.log10(float(y)))) for x, y in zip(s.x, s.y)]
         if s.line and len(points) > 1:
             path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-            out.append(
-                f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+            out.append(_element("polyline", points=path, fill="none", stroke=color, stroke_width="1.5"))
         if s.marker:
-            for x, y in points:
-                out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
-
-    # legend, top right inside the frame
-    legend_x = MARGIN_LEFT + PLOT_W - 170
-    legend_y = MARGIN_TOP + 12
-    box_h = 18 * len(series) + 8
-    out.append(
-        f'<rect x="{_fmt(legend_x - 8)}" y="{_fmt(legend_y - 12)}" width="178" '
-        f'height="{_fmt(box_h)}" fill="white" stroke="#999999" stroke-width="0.5"/>'
-    )
-    for index, s in enumerate(series):
-        color = PALETTE[index % len(PALETTE)]
+            out.extend(_element("circle", cx=x, cy=y, r=3, fill=color) for x, y in points)
         y = legend_y + 18 * index
-        out.append(f'<circle cx="{_fmt(legend_x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
-        out.append(
-            f'<text x="{_fmt(legend_x + 10)}" y="{_fmt(y + 4)}" '
-            f'font-family="sans-serif" font-size="11">{s.label}</text>'
-        )
+        legend += [_element("circle", cx=legend_x, cy=y, r=3, fill=color),
+                   _element("text", s.label, x=legend_x + 10, y=y + 4, **TICK)]
 
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _element("svg", out + legend, xmlns="http://www.w3.org/2000/svg", width=WIDTH, height=HEIGHT,
+                    viewBox=f"0 0 {WIDTH} {HEIGHT}") + "\n"

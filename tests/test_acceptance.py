@@ -1,8 +1,9 @@
 """Acceptance suite: one test per shipped claim, printed as PASS/FAIL lines.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The turnover sweep
-(criteria 2-4) runs the full 60-cell protocol once and is shared between
-tests; expect one to two minutes of wall-clock time in total.
+(criteria 2-4) runs the full 60-cell protocol once, one worker process per
+CPU, and is shared between tests: about 12 s on 2 CPUs, of about 15 s in
+total.
 """
 
 import math

@@ -107,7 +107,7 @@ def digests(case: str, tmp_path) -> dict[str, str]:
         return {"stdout": _sha(stdout.getvalue().encode())}
     result = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
     manifest = json.loads((out / "manifest.json").read_text())
-    for key in ("duration_seconds", "numpy_version", "python_version"):  # vary by run and host
+    for key in ("duration_seconds", "timings", "numpy_version", "python_version"):  # vary by run and host
         del manifest[key]
     result["manifest.json"] = _sha(json.dumps(manifest, sort_keys=True).encode())
     return result

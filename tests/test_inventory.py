@@ -120,7 +120,8 @@ def assert_same_as_whole_array(params):
 
 @pytest.mark.parametrize(
     "y_max",
-    # one block of 65 536 ranks -1/+0/+1 and 3 blocks + 7, then the same
+    # 65 536 ranks -1/+0/+1 and 3 * 65 536 + 7 (8 and 24 whole blocks of 8192
+    # ranks, plus a partial one), larger limits, then -1/+0/+1 and 3 blocks + 7
     # around the current SCAN_BLOCK
     [1, 65_535, 65_536, 65_537, 196_615, 200_003, 1_000_000]
     + [SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 7],
