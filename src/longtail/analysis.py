@@ -15,9 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-
-class InsufficientDataError(ValueError):
-    """Too few (or degenerate) data points for the requested statistic."""
+from . import InsufficientDataError
 
 
 @dataclass

@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__
+from . import InsufficientDataError, __version__
 from .defaults import DEFAULT_AB_RATIOS, DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAULT_NMU_TARGETS
 
 # Parsing argv needs only the standard modules above, so nothing else is
@@ -172,15 +172,14 @@ def cmd_optimize(a) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reproduce: each preset computes its results, then returns the manifest
-# config and the files to write, so a failure while computing leaves no
-# output directory
+# reproduce: each preset states its config once, passes it to the library
+# and returns it for the manifest with the files to write, so a failure
+# while computing leaves no output directory
 
 def _sales_distribution(a):
     _bind("run_sales_distribution")
-    results = run_sales_distribution(
-        targets=a.targets, n_agents=a.n, steps=a.steps, replicates=a.runs, master_seed=a.seed
-    )
+    config = {"targets": a.targets, "n_agents": a.n, "steps": a.steps, "replicates": a.runs}
+    results = run_sales_distribution(**config, master_seed=a.seed)
     plot_series = []
     for r in results:
         points = [
@@ -190,7 +189,6 @@ def _sales_distribution(a):
         ]
         label = f"N*mu = {r.n_mu:g}" + (" (winner-take-all)" if r.winner_take_all else "")
         plot_series.append(Series(label=label, x=[p[0] for p in points], y=[p[1] for p in points], line=True))
-    config = {"targets": list(a.targets), "n_agents": a.n, "steps": a.steps, "replicates": a.runs}
     return config, {
         "sales_histogram.csv": ((r.n_mu, r.mu, lo, hi, count) for r in results for lo, hi, count in r.histogram),
         "sales_samples.csv": ((r.n_mu, int(s)) for r in results for s in r.samples),
@@ -214,39 +212,26 @@ def _sales_distribution(a):
 
 
 def _turnover_sweep(a):
-    _bind("SweepSpec", "run_turnover_sweep", "expected_turnover")
-    spec = SweepSpec(
-        n_grid=a.n_grid,
-        mu_grid=DEFAULT_MU_GRID if a.mu_grid is None else a.mu_grid,
-        runs_per_cell=a.runs,
-        steps=a.steps,
-        y=a.y,
-        master_seed=a.seed,
-    )
-    result, fit = run_turnover_sweep(spec, workers=a.workers)
-    mu_lo, mu_hi = min(spec.mu_grid), max(spec.mu_grid)
-    fit_x = [mu_lo, mu_hi]
+    _bind("SweepSpec", "run_turnover_sweep", "per_mu_stats", "expected_turnover")
+    mu_grid = DEFAULT_MU_GRID if a.mu_grid is None else a.mu_grid
+    config = {"n_grid": a.n_grid, "mu_grid": mu_grid, "runs_per_cell": a.runs, "steps": a.steps, "y": a.y}
+    cells, fit = run_turnover_sweep(SweepSpec(**config, master_seed=a.seed), workers=a.workers)
+    fit_x = [min(mu_grid), max(mu_grid)]
     fit_y = [math.exp(fit.intercept + fit.slope * math.log(m)) for m in fit_x]
-    reference_y = [expected_turnover(spec.y, m) for m in fit_x]
+    reference_y = [expected_turnover(a.y, m) for m in fit_x]
     svg = loglog_svg(
         [
-            Series(
-                label="measured cells",
-                x=[c.mu for c in result.cells],
-                y=[c.z_bar for c in result.cells],
-            ),
+            Series(label="measured cells", x=[c.mu for c in cells], y=[c.z_bar for c in cells]),
             Series(label=f"fit slope {fit.slope:.3f}", x=fit_x, y=fit_y, marker=False, line=True),
             Series(label="y*sqrt(mu)", x=fit_x, y=reference_y, marker=False, line=True),
         ],
-        title=f"Top-{spec.y} turnover vs innovation fraction",
+        title=f"Top-{a.y} turnover vs innovation fraction",
         x_label="innovation fraction mu",
         y_label="mean turnover z_bar (items/period)",
     )
-    config = asdict(spec)
-    del config["master_seed"]  # recorded as the manifest's seed
     return config, {
-        "turnover_sweep.csv": ((c.n_agents, c.mu, c.z_bar, c.z_std) for c in result.cells),
-        "turnover_by_mu.csv": result.per_mu_stats(),
+        "turnover_sweep.csv": ((c.n_agents, c.mu, c.z_bar, c.z_std) for c in cells),
+        "turnover_by_mu.csv": per_mu_stats(cells),
         "turnover_fit.json": asdict(fit),
         "turnover_sweep.svg": svg,
     }
@@ -258,12 +243,12 @@ def _inventory_curves(a):
 
     # the default grid is made here, not on import: its numpy calls add about 0.5 MB to every command's RSS
     mu_grid = tuple(numpy.geomspace(1e-4, 0.5, 25).tolist()) if a.mu_grid is None else a.mu_grid
-    points = inventory_curve(alpha=a.alpha, ab_ratios=a.ab_ratios, mu_grid=mu_grid)
+    config = {"alpha": a.alpha, "ab_ratios": a.ab_ratios, "mu_grid": mu_grid}
+    points = inventory_curve(**config)
     series = []
     for ab in a.ab_ratios:
         curve = [p for p in points if p.ab_ratio == ab]
         series.append(Series(label=f"A/B = {ab:g}", x=[p.mu for p in curve], y=[p.y_value for p in curve], line=True))
-    config = {"alpha": a.alpha, "ab_ratios": list(a.ab_ratios), "mu_grid": list(mu_grid)}
     return config, {
         "inventory_curves.csv": ((p.ab_ratio, p.mu, p.y_value, p.y_floor) for p in points),
         "inventory_curves.svg": loglog_svg(
@@ -471,13 +456,7 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {_flagged(str(exc), name)}", file=sys.stderr)
-        # only a loaded analysis module raises one, so argv refused before any
-        # compute (a missing flag, a bad --config) loads no numpy here either
-        if "longtail.analysis" in sys.modules:
-            _bind("InsufficientDataError")
-            if isinstance(exc, InsufficientDataError):
-                return 4
-        return 2 if isinstance(exc, ValueError) else 3
+        return 4 if isinstance(exc, InsufficientDataError) else 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -80,18 +81,15 @@ class CellResult:
     z_bar_runs: tuple[float, ...]
 
 
-@dataclass
-class SweepResult:
-    spec: SweepSpec
-    cells: list[CellResult]
-
-    def per_mu_stats(self) -> list[tuple[float, float, float]]:
-        """(mu, mean over N, std over N) of cell z_bar values, one row per mu."""
-        rows = []
-        for mu in self.spec.mu_grid:
-            values = np.array([c.z_bar for c in self.cells if c.mu == mu])
-            rows.append((mu, float(values.mean()), float(values.std())))
-        return rows
+def per_mu_stats(cells: list[CellResult]) -> list[tuple[float, float, float]]:
+    """(mu, mean over N, std over N) of cell z_bar values, one row per mu, in
+    the order the mu values first appear in ``cells`` (the grid's order for
+    cells in ``run_turnover_sweep`` order)."""
+    rows = []
+    for mu in dict.fromkeys(c.mu for c in cells):
+        values = np.array([c.z_bar for c in cells if c.mu == mu])
+        rows.append((mu, float(values.mean()), float(values.std())))
+    return rows
 
 
 def derive_run_seed(master_seed: int, cell_index: int, replicate_index: int) -> int:
@@ -102,25 +100,31 @@ def derive_run_seed(master_seed: int, cell_index: int, replicate_index: int) -> 
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _replicates(master_seed: int, cell_index: int, count: int, **config) -> Iterator[SimConfig]:
+    """One cell's ``count`` SimConfigs from ``config``, each seeded by ``derive_run_seed``."""
+    return (SimConfig(**config, seed=derive_run_seed(master_seed, cell_index, r)) for r in range(count))
+
+
 def _run_cell(spec: SweepSpec, task: tuple[int, tuple[int, float]]) -> CellResult:
     cell_index, (n_agents, mu) = task
-    z_bars = []
-    for replicate in range(spec.runs_per_cell):
-        seed = derive_run_seed(spec.master_seed, cell_index, replicate)
-        config = SimConfig(n_agents=n_agents, mu=mu, steps=spec.steps, seed=seed)
-        z_bars.append(turnover(top_lists(config, spec.y)).z_bar)  # each list is read once, as it is made
-    values = np.array(z_bars)
+    configs = _replicates(spec.master_seed, cell_index, spec.runs_per_cell, n_agents=n_agents, mu=mu, steps=spec.steps)
+    try:
+        # each list is read once, as it is made
+        values = np.array([turnover(top_lists(config, spec.y)).z_bar for config in configs])
+    except MemoryError as exc:  # a state or a step holds arrays of up to about 2N entries
+        raise ValueError(f"n_grid value {n_agents} needs arrays numpy cannot allocate: {exc}") from None
     return CellResult(
         n_agents=n_agents,
         mu=mu,
         z_bar=float(values.mean()),
         z_std=float(values.std()),
-        z_bar_runs=tuple(z_bars),
+        z_bar_runs=tuple(values.tolist()),
     )
 
 
-def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepResult, LogLogFit]:
-    """Mean top-y turnover per (N, mu) cell plus the pooled log-log fit.
+def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[list[CellResult], LogLogFit]:
+    """Mean top-y turnover per (N, mu) cell, in ``product(n_grid, mu_grid)``
+    order, plus the pooled log-log fit.
 
     Cells are independent; with ``workers > 1`` they are evaluated in a
     process pool of at most one worker per cell and per CPU, and merged back
@@ -147,8 +151,7 @@ def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[SweepResult, 
                 f"no list turnover in the cell N={c.n_agents}, mu={c.mu} over {spec.runs_per_cell} "
                 f"run(s) of {spec.steps} steps; the log-log fit needs z_bar > 0 in every cell"
             )
-    fit = fit_turnover_exponent([(c.mu, c.z_bar) for c in cells])
-    return SweepResult(spec=spec, cells=cells), fit
+    return cells, fit_turnover_exponent([(c.mu, c.z_bar) for c in cells])
 
 
 def log_binned_histogram(samples: np.ndarray) -> list[tuple[float, float, int]]:
@@ -203,13 +206,9 @@ def run_sales_distribution(
     results = []
     for cell_index, target in enumerate(targets):
         mu = target / n_agents
-        pooled = []
-        for replicate in range(replicates):
-            seed = derive_run_seed(master_seed, cell_index, replicate)
-            config = SimConfig(n_agents=n_agents, mu=mu, steps=steps, seed=seed)
-            # every product sold: N // x0 >= 1 in period 0, or 1 in its first period
-            pooled.append(run(config, y=1)[0])
-        samples = np.concatenate(pooled)
+        configs = _replicates(master_seed, cell_index, replicates, n_agents=n_agents, mu=mu, steps=steps)
+        # every product sold: N // x0 >= 1 in period 0, or 1 in its first period
+        samples = np.concatenate([run(config, y=1)[0] for config in configs])
         winner_take_all = target <= 1.0
         fit = None if winner_take_all else fit_alpha(samples)
         results.append(

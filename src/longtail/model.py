@@ -183,21 +183,30 @@ def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, list[list[int]]]:
     only the top lists, like the turnover sweep, streams ``top_lists``
     instead and keeps neither the buffer nor the lists.
 
-    Raises ValueError naming ``steps``, before the first step, when numpy
-    cannot allocate the cumulative-sales buffer.
+    Raises ValueError when numpy cannot allocate the cumulative-sales
+    buffer, before the first step, naming ``steps`` when it exceeds the
+    one-step buffer ``x0 + ceil(mu*N)`` (the buffer is at most their
+    product) and ``n_agents`` otherwise; and naming ``n_agents`` when it
+    cannot allocate a state or a step's arrays.
     """
     if y < 1:
         raise ValueError(f"y must be >= 1, got {y}")
     # step creates at most ceil(mu*N) products a period (the same float
     # product it rounds), so this one buffer holds every id run can reach
-    bound = config.x0 + config.steps * math.ceil(config.mu * config.n_agents)
+    per_step = math.ceil(config.mu * config.n_agents)
     try:
-        totals = np.zeros(bound, dtype=np.int64)
+        totals = np.zeros(config.x0 + config.steps * per_step, dtype=np.int64)
     except (MemoryError, ValueError) as exc:
-        raise ValueError(f"steps {config.steps} need a cumulative-sales buffer numpy cannot allocate: {exc}") from None
+        # the buffer is at most steps times the one-step buffer: name the larger of the two
+        larger = config.steps > config.x0 + per_step
+        name, value = ("steps", config.steps) if larger else ("n_agents", config.n_agents)
+        raise ValueError(f"{name} {value} need a cumulative-sales buffer numpy cannot allocate: {exc}") from None
     lists = []
-    for period, state in enumerate(trajectory(config)):
-        if config.burn_in == 0 or period > config.burn_in:
-            totals[state.product_ids] += state.sales
-        lists.append(rank_top(state.product_ids, state.sales, y).tolist())
+    try:
+        for period, state in enumerate(trajectory(config)):
+            if config.burn_in == 0 or period > config.burn_in:
+                totals[state.product_ids] += state.sales
+            lists.append(rank_top(state.product_ids, state.sales, y).tolist())
+    except MemoryError as exc:  # a state or a step holds arrays of up to about 2N entries
+        raise ValueError(f"n_agents {config.n_agents} need arrays numpy cannot allocate: {exc}") from None
     return totals[: state.next_product_id], lists

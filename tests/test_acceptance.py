@@ -13,16 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from longtail.analysis import calibrate_mu, expected_turnover, fit_alpha
+from longtail.analysis import calibrate_mu, expected_turnover, fit_alpha, turnover
 from longtail.cli import main as cli_main
 from longtail.experiments import (
     SweepSpec,
     derive_run_seed,
+    per_mu_stats,
     run_sales_distribution,
     run_turnover_sweep,
 )
 from longtail.inventory import InventoryParams, bruteforce_stock, closed_form_stock
-from longtail.model import SimConfig, run
+from longtail.model import SimConfig, run, top_lists
 from oracles import argmax_by_enumeration, power_law_samples
 
 
@@ -35,9 +36,9 @@ def _criterion(number: int, name: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def sweep():
     started = time.monotonic()
-    result, fit = run_turnover_sweep(SweepSpec(), workers=os.cpu_count() or 1)
-    print(f"\n[turnover sweep: {len(result.cells)} cells x 10 runs in {time.monotonic() - started:.1f}s]")
-    return result, fit
+    cells, fit = run_turnover_sweep(SweepSpec(), workers=os.cpu_count() or 1)
+    print(f"\n[turnover sweep: {len(cells)} cells x 10 runs in {time.monotonic() - started:.1f}s]")
+    return cells, fit
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +74,9 @@ def test_02_turnover_innovation_law(sweep):
 
 
 def test_03_population_size_independence(sweep):
-    result, _ = sweep
+    cells, _ = sweep
     worst_mu, worst_cov = None, -1.0
-    for mu, mean, std in result.per_mu_stats():
+    for mu, mean, std in per_mu_stats(cells):
         cov = std / mean
         if cov > worst_cov:
             worst_mu, worst_cov = mu, cov
@@ -89,10 +90,10 @@ def test_03_population_size_independence(sweep):
 
 
 def test_04_sqrt_mu_approximation(sweep):
-    result, _ = sweep
+    cells, _ = sweep
     worst_cell, worst_ratio = None, 1.0
-    for cell in result.cells:
-        reference = expected_turnover(result.spec.y, cell.mu)
+    for cell in cells:
+        reference = expected_turnover(SweepSpec().y, cell.mu)
         ratio = max(cell.z_bar / reference, reference / cell.z_bar)
         if ratio > worst_ratio:
             worst_cell, worst_ratio = cell, ratio
@@ -218,4 +219,27 @@ def test_10_reproduce_byte_identical(tmp_path):
         "reproduce outputs are byte-identical",
         True,
         f"{compared} CSV files compared across repeated runs of all three presets",
+    )
+
+
+def test_11_turnover_across_list_sizes():
+    # z ~ y*sqrt(mu) is linear in y as well as in sqrt(mu): each run's top-50
+    # stream gives every smaller list as a prefix, so one run serves each y
+    list_sizes = (1, 2, 5, 10, 20, 50)
+    details, passed = [], True
+    for cell_index, (n_agents, mu) in enumerate(((1000, 0.01), (1000, 0.002), (500, 0.05))):
+        z_bars = np.zeros(len(list_sizes))
+        for replicate in range(4):
+            seed = derive_run_seed(0, cell_index, replicate)
+            lists = list(top_lists(SimConfig(n_agents=n_agents, mu=mu, steps=2000, seed=seed), 50))
+            z_bars += [turnover([l[:y] for l in lists]).z_bar / 4 for y in list_sizes]
+        ratios = [z / expected_turnover(y, mu) for z, y in zip(z_bars, list_sizes)]
+        passed = passed and all(0.5 <= r <= 2.0 for r in ratios)
+        slope = np.polyfit(np.log(list_sizes), np.log(z_bars), 1)[0]
+        details.append(f"N={n_agents} mu={mu}: ratios {' '.join(f'{r:.2f}' for r in ratios)}, slope {slope:.3f}")
+    _criterion(
+        11,
+        "z_bar/(y*sqrt(mu)) in [0.5, 2] for y in 1-50",
+        passed,
+        f"y = {', '.join(map(str, list_sizes))}; " + "; ".join(details),
     )

@@ -702,6 +702,16 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (RIGHT_ARGS + ["--mu-grid", "0.05,0.05,0.1", "--n-grid", 50], "--mu-grid"),
         (RIGHT_ARGS + ["--n-grid", "20,40,20"], "--n-grid"),
         (LEFT_ARGS + ["--targets", "2,0.5,2"], "--targets"),
+        # an N whose arrays numpy refused: a MemoryError traceback from a step's
+        # owner table or from the first state, or an error naming --steps for
+        # a buffer that N alone made too large; each asks for 8e15 bytes, past
+        # the 2**47-byte user address space, so it fails at once on any host
+        (SIM_ARGS + ["--n", 10**15, "--x0", 1, "--mu", 0, "--steps", 1], "--n"),
+        (SIM_ARGS + ["--n", 10**15, "--mu", 0, "--steps", 1], "--n"),
+        (LEFT_ARGS + ["--n", 10**15, "--targets", 2, "--steps", 1], "--n"),
+        (RIGHT_ARGS + ["--n-grid", f"{10**15},{2 * 10**15}", "--mu-grid", "0.01,0.02", "--steps", 1], "--n-grid"),
+        # the buffer grows with both N and steps: 2 steps of an N this large still name --n
+        (SIM_ARGS + ["--n", 10**15, "--mu", 1, "--steps", 2], "--n"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):

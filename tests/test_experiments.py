@@ -11,6 +11,7 @@ from longtail.experiments import (
     SweepSpec,
     derive_run_seed,
     log_binned_histogram,
+    per_mu_stats,
     run_sales_distribution,
     run_turnover_sweep,
 )
@@ -34,9 +35,9 @@ def test_run_seeds_are_pure_and_distinct():
 
 
 def test_sweep_record_count_and_cell_order():
-    result, _ = run_turnover_sweep(SMALL_SPEC)
-    assert len(result.cells) == len(SMALL_SPEC.n_grid) * len(SMALL_SPEC.mu_grid)
-    assert [(c.n_agents, c.mu) for c in result.cells] == [
+    cells, _ = run_turnover_sweep(SMALL_SPEC)
+    assert len(cells) == len(SMALL_SPEC.n_grid) * len(SMALL_SPEC.mu_grid)
+    assert [(c.n_agents, c.mu) for c in cells] == [
         (n, mu) for n in SMALL_SPEC.n_grid for mu in SMALL_SPEC.mu_grid
     ]
 
@@ -44,7 +45,7 @@ def test_sweep_record_count_and_cell_order():
 def test_sweep_parallel_matches_serial():
     serial, fit_serial = run_turnover_sweep(SMALL_SPEC, workers=1)
     parallel, fit_parallel = run_turnover_sweep(SMALL_SPEC, workers=2)
-    assert [c.z_bar_runs for c in serial.cells] == [c.z_bar_runs for c in parallel.cells]
+    assert [c.z_bar_runs for c in serial] == [c.z_bar_runs for c in parallel]
     assert fit_serial.slope == fit_parallel.slope
 
 
@@ -81,10 +82,10 @@ def test_sweep_pool_is_clamped_to_cells_and_cpus(monkeypatch, workers, cpus, poo
         concurrent.futures, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers)
     )
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-    result, _ = run_turnover_sweep(SMALL_SPEC, workers=workers)
+    cells, _ = run_turnover_sweep(SMALL_SPEC, workers=workers)
     assert sizes == ([] if pool_size is None else [pool_size])
     serial, _ = run_turnover_sweep(SMALL_SPEC)
-    assert [c.z_bar_runs for c in result.cells] == [c.z_bar_runs for c in serial.cells]
+    assert [c.z_bar_runs for c in cells] == [c.z_bar_runs for c in serial]
 
 
 def test_sweep_names_a_cell_without_turnover():
@@ -102,8 +103,8 @@ def test_sweep_rejects_fewer_than_one_worker(workers):
 
 
 def test_sweep_per_mu_stats_shape():
-    result, _ = run_turnover_sweep(SMALL_SPEC)
-    stats = result.per_mu_stats()
+    cells, _ = run_turnover_sweep(SMALL_SPEC)
+    stats = per_mu_stats(cells)
     assert [row[0] for row in stats] == list(SMALL_SPEC.mu_grid)
     for _, mean, std in stats:
         assert mean >= 0 and std >= 0
