@@ -8,7 +8,7 @@ here, so the CLI can tell it apart (exit 4) without importing numpy.
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # the one place the version is written: pyproject.toml reads it
 
 
 class InsufficientDataError(ValueError):

@@ -34,7 +34,7 @@ from .analysis import (
     turnover,
 )
 from .defaults import DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAULT_NMU_TARGETS
-from .model import SimConfig, run, top_lists
+from .model import MAX_AGENTS, SimConfig, run, top_lists
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class SweepSpec:
         # a repeated value would run (and pool) the same cells twice
         if not self.n_grid or not self.mu_grid:
             raise ValueError("n_grid and mu_grid must be non-empty")
-        if min(self.n_grid) < 1:
-            raise ValueError(f"n_grid values must be >= 1, got {self.n_grid}")
+        if not all(1 <= n < MAX_AGENTS for n in self.n_grid):
+            raise ValueError(f"n_grid values must be within [1, 2**59), got {self.n_grid}")
         if not all(0.0 < mu <= 1.0 for mu in self.mu_grid):
             raise ValueError(f"mu_grid values must be within (0, 1], got {self.mu_grid}")
         for name, grid in (("n_grid", self.n_grid), ("mu_grid", self.mu_grid)):

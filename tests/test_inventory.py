@@ -58,11 +58,17 @@ def test_marginal_identity(a, b, mu, alpha, y):
     assert objective(y, params) - objective(y - 1, params) == pytest.approx(marginal, abs=1e-12)
 
 
-def test_bruteforce_zero_profit_stocks_nothing():
-    result = bruteforce_stock(_params(a=0.0))
+@pytest.mark.parametrize("a", [0.0, -0.0])
+# B*sqrt(mu) underflows to 0 in the second pair: a / cost unguarded would be 0/0
+@pytest.mark.parametrize("b,mu", [(1.0, 0.25), (5e-324, 5e-324)])
+def test_bruteforce_zero_profit_stocks_nothing(a, b, mu):
+    params = _params(a=a, b=b, mu=mu)
+    result = bruteforce_stock(params)
     assert result.y_bruteforce == 0
     assert result.objective_at_optimum == 0.0
     assert result.y_closed_form == 0.0
+    assert repr(closed_form_stock(params)) == "(0.0, 0)"  # a positive zero: -0.0 == 0.0 too
+    assert not result.capped
 
 
 def test_bruteforce_example_matches_enumeration_and_marginal_condition():
@@ -176,8 +182,8 @@ def test_small_blocks_match_whole_array(a, b, mu, alpha, y_max, block):
 
 
 def test_capped_scan_stays_below_one_megabyte():
-    # reads 0.27 MB: four block buffers of 8192 float64; blocks of 65 536
-    # ranks with a fresh array per step peaked at 2.6 MB
+    # reads 0.27 MB: at most four arrays of 8192 float64 live at once, each
+    # made for its block; blocks of 65 536 ranks peaked at 2.6 MB
     _, peak = traced_peak(bruteforce_stock, _params(**CAPPED))
     assert peak < 1_000_000
 
