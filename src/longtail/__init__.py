@@ -19,8 +19,8 @@ class InsufficientDataError(ValueError):
 _SUBMODULE = {
     **dict.fromkeys(("LogLogFit", "PowerLawFit", "TurnoverStats", "calibrate_mu", "expected_turnover", "fit_alpha",
                      "fit_turnover_exponent", "turnover"), "analysis"),
-    **dict.fromkeys(("CellResult", "DistributionResult", "SweepSpec", "derive_run_seed", "log_binned_histogram",
-                     "per_mu_stats", "run_sales_distribution", "run_turnover_sweep"), "experiments"),
+    **dict.fromkeys(("CellResult", "DistributionResult", "derive_run_seed", "log_binned_histogram", "per_mu_stats",
+                     "run_sales_distribution", "run_turnover_sweep"), "experiments"),
     **dict.fromkeys(("CurvePoint", "InventoryParams", "InventoryResult", "bruteforce_stock", "closed_form_stock",
                      "inventory_curve"), "inventory"),
     **dict.fromkeys(("SimConfig", "SimState", "init_state", "rank_top", "run", "step", "top_lists",

@@ -212,10 +212,10 @@ def _sales_distribution(a):
 
 
 def _turnover_sweep(a):
-    _bind("SweepSpec", "run_turnover_sweep", "per_mu_stats", "expected_turnover")
+    _bind("run_turnover_sweep", "per_mu_stats", "expected_turnover")
     mu_grid = DEFAULT_MU_GRID if a.mu_grid is None else a.mu_grid
     config = {"n_grid": a.n_grid, "mu_grid": mu_grid, "runs_per_cell": a.runs, "steps": a.steps, "y": a.y}
-    cells, fit = run_turnover_sweep(SweepSpec(**config, master_seed=a.seed), workers=a.workers)
+    cells, fit = run_turnover_sweep(**config, master_seed=a.seed, workers=a.workers)
     fit_x = [min(mu_grid), max(mu_grid)]
     fit_y = [math.exp(fit.intercept + fit.slope * math.log(m)) for m in fit_x]
     reference_y = [expected_turnover(a.y, m) for m in fit_x]

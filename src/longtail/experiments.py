@@ -8,9 +8,10 @@ Two seeded studies (the deterministic shelf-size curves are
 * ``run_turnover_sweep`` — mean top-y turnover over an (N, mu) grid with
   replicates, plus the pooled log-log fit of z_bar against mu.
 
-Every run's seed is a pure function of (master_seed, cell index, replicate
-index), so results are bit-reproducible and cells can be farmed out to
-worker processes without changing the output.
+Both take their protocol as keyword arguments and check it before the first
+run. Every run's seed is a pure function of (master_seed, cell index,
+replicate index), so results are bit-reproducible and cells can be farmed out
+to worker processes without changing the output.
 """
 
 from __future__ import annotations
@@ -37,48 +38,12 @@ from .defaults import DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAULT_NMU_TARGETS
 from .model import MAX_AGENTS, SimConfig, run, top_lists
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid protocol for the turnover sweep."""
-
-    n_grid: tuple[int, ...] = DEFAULT_N_GRID
-    mu_grid: tuple[float, ...] = DEFAULT_MU_GRID
-    runs_per_cell: int = 10
-    steps: int = 1000
-    y: int = 5
-    master_seed: int = 0
-
-    def __post_init__(self):
-        # checked before any cell runs: the pooled log-log fit at the end
-        # needs at least 3 cells over at least 2 distinct positive mu values;
-        # a repeated value would run (and pool) the same cells twice
-        if not self.n_grid or not self.mu_grid:
-            raise ValueError("n_grid and mu_grid must be non-empty")
-        if not all(1 <= n < MAX_AGENTS for n in self.n_grid):
-            raise ValueError(f"n_grid values must be within [1, 2**59), got {self.n_grid}")
-        if not all(0.0 < mu <= 1.0 for mu in self.mu_grid):
-            raise ValueError(f"mu_grid values must be within (0, 1], got {self.mu_grid}")
-        for name, grid in (("n_grid", self.n_grid), ("mu_grid", self.mu_grid)):
-            if len(set(grid)) < len(grid):
-                raise ValueError(f"{name} values must be distinct, got {grid}")
-        if len(self.mu_grid) < 2:
-            raise ValueError(f"mu_grid must hold at least 2 values, got {self.mu_grid}")
-        if len(self.n_grid) * len(self.mu_grid) < 3:
-            raise ValueError("n_grid and mu_grid must span at least 3 cells for the turnover fit")
-        if self.runs_per_cell < 1:
-            raise ValueError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
-        # y scales the float reference line y*sqrt(mu) drawn beside the cells
-        if not 1 <= self.y <= sys.float_info.max:
-            raise ValueError(f"y must be >= 1 and at most the largest float, got {self.y}")
-
-
 @dataclass
 class CellResult:
     n_agents: int
     mu: float
     z_bar: float  # mean of per-run z_bar over replicates
     z_std: float  # std of per-run z_bar over replicates
-    z_bar_runs: tuple[float, ...]
 
 
 def per_mu_stats(cells: list[CellResult]) -> list[tuple[float, float, float]]:
@@ -105,36 +70,65 @@ def _replicates(master_seed: int, cell_index: int, count: int, **config) -> Iter
     return (SimConfig(**config, seed=derive_run_seed(master_seed, cell_index, r)) for r in range(count))
 
 
-def _run_cell(spec: SweepSpec, task: tuple[int, tuple[int, float]]) -> CellResult:
+def _run_cell(
+    task: tuple[int, tuple[int, float]], *, master_seed: int, runs_per_cell: int, steps: int, y: int
+) -> CellResult:
     cell_index, (n_agents, mu) = task
-    configs = _replicates(spec.master_seed, cell_index, spec.runs_per_cell, n_agents=n_agents, mu=mu, steps=spec.steps)
+    configs = _replicates(master_seed, cell_index, runs_per_cell, n_agents=n_agents, mu=mu, steps=steps)
     try:
         # each list is read once, as it is made
-        values = np.array([turnover(top_lists(config, spec.y)).z_bar for config in configs])
+        values = np.array([turnover(top_lists(config, y)).z_bar for config in configs])
     except MemoryError as exc:  # a state or a step holds arrays of up to about 2N entries
         raise ValueError(f"n_grid value {n_agents} needs arrays numpy cannot allocate: {exc}") from None
-    return CellResult(
-        n_agents=n_agents,
-        mu=mu,
-        z_bar=float(values.mean()),
-        z_std=float(values.std()),
-        z_bar_runs=tuple(values.tolist()),
-    )
+    if not values.any():
+        raise InsufficientDataError(
+            f"no list turnover in the cell N={n_agents}, mu={mu} over {runs_per_cell} "
+            f"run(s) of {steps} steps; the log-log fit needs z_bar > 0 in every cell"
+        )
+    return CellResult(n_agents=n_agents, mu=mu, z_bar=float(values.mean()), z_std=float(values.std()))
 
 
-def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[list[CellResult], LogLogFit]:
+def run_turnover_sweep(
+    n_grid: tuple[int, ...] = DEFAULT_N_GRID,
+    mu_grid: tuple[float, ...] = DEFAULT_MU_GRID,
+    runs_per_cell: int = 10,
+    steps: int = 1000,
+    y: int = 5,
+    master_seed: int = 0,
+    workers: int = 1,
+) -> tuple[list[CellResult], LogLogFit]:
     """Mean top-y turnover per (N, mu) cell, in ``product(n_grid, mu_grid)``
     order, plus the pooled log-log fit.
 
     Cells are independent; with ``workers > 1`` they are evaluated in a
     process pool of at most one worker per cell and per CPU, and merged back
-    in cell order, so the result does not depend on scheduling. Raises
-    InsufficientDataError, naming the cell, when a cell saw no turnover.
-    """
+    in cell order, so the result does not depend on scheduling. The first
+    cell in grid order that saw no turnover raises InsufficientDataError
+    naming it; a serial sweep stops there."""
+    # the pooled log-log fit needs at least 3 cells and 2 distinct positive mu
+    # values; a repeated value would run (and pool) the same cells twice
+    if not n_grid or not mu_grid:
+        raise ValueError("n_grid and mu_grid must be non-empty")
+    if not all(1 <= n < MAX_AGENTS for n in n_grid):
+        raise ValueError(f"n_grid values must be within [1, 2**59), got {n_grid}")
+    if not all(0.0 < mu <= 1.0 for mu in mu_grid):
+        raise ValueError(f"mu_grid values must be within (0, 1], got {mu_grid}")
+    for name, grid in (("n_grid", n_grid), ("mu_grid", mu_grid)):
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"{name} values must be distinct, got {grid}")
+    if len(mu_grid) < 2:
+        raise ValueError(f"mu_grid must hold at least 2 values, got {mu_grid}")
+    if len(n_grid) * len(mu_grid) < 3:
+        raise ValueError("n_grid and mu_grid must span at least 3 cells for the turnover fit")
+    if runs_per_cell < 1:
+        raise ValueError(f"runs_per_cell must be >= 1, got {runs_per_cell}")
+    # y scales the float reference line y*sqrt(mu) drawn beside the cells
+    if not 1 <= y <= sys.float_info.max:
+        raise ValueError(f"y must be >= 1 and at most the largest float, got {y}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = list(enumerate(itertools.product(spec.n_grid, spec.mu_grid)))
-    run_cell = partial(_run_cell, spec)
+    tasks = list(enumerate(itertools.product(n_grid, mu_grid)))
+    run_cell = partial(_run_cell, master_seed=master_seed, runs_per_cell=runs_per_cell, steps=steps, y=y)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool machinery (multiprocessing, subprocess,
@@ -145,12 +139,6 @@ def run_turnover_sweep(spec: SweepSpec, workers: int = 1) -> tuple[list[CellResu
             cells = list(pool.map(run_cell, tasks))
     else:
         cells = [run_cell(t) for t in tasks]
-    for c in cells:
-        if c.z_bar == 0.0:
-            raise InsufficientDataError(
-                f"no list turnover in the cell N={c.n_agents}, mu={c.mu} over {spec.runs_per_cell} "
-                f"run(s) of {spec.steps} steps; the log-log fit needs z_bar > 0 in every cell"
-            )
     return cells, fit_turnover_exponent([(c.mu, c.z_bar) for c in cells])
 
 
@@ -190,7 +178,8 @@ def run_sales_distribution(
     and the per-product cumulative sales are pooled across replicates. For
     targets with N*mu <= 1 the market is winner-take-all rather than
     power-law distributed, so the exponent fit is skipped and the result is
-    flagged instead. All arguments are checked before the first run.
+    flagged instead. All arguments are checked before the first run; a target
+    with no exponent fit raises InsufficientDataError naming it at once.
     """
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
@@ -210,7 +199,13 @@ def run_sales_distribution(
         # every product sold: N // x0 >= 1 in period 0, or 1 in its first period
         samples = np.concatenate([run(config, y=1)[0] for config in configs])
         winner_take_all = target <= 1.0
-        fit = None if winner_take_all else fit_alpha(samples)
+        try:
+            fit = None if winner_take_all else fit_alpha(samples)
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(
+                f"no exponent fit for the target N*mu={target:g} (mu={mu}) over {replicates} "
+                f"run(s) of {steps} steps: {exc}"
+            ) from None
         results.append(
             DistributionResult(
                 n_mu=target,

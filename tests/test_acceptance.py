@@ -16,7 +16,6 @@ import pytest
 from longtail.analysis import calibrate_mu, expected_turnover, fit_alpha, turnover
 from longtail.cli import main as cli_main
 from longtail.experiments import (
-    SweepSpec,
     derive_run_seed,
     per_mu_stats,
     run_sales_distribution,
@@ -25,6 +24,9 @@ from longtail.experiments import (
 from longtail.inventory import InventoryParams, bruteforce_stock, closed_form_stock
 from longtail.model import SimConfig, run, top_lists
 from oracles import argmax_by_enumeration, power_law_samples
+
+
+SWEEP_Y = 5  # top-list size of the turnover sweep, as in the 2right preset
 
 
 def _criterion(number: int, name: str, passed: bool, detail: str) -> None:
@@ -36,7 +38,7 @@ def _criterion(number: int, name: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def sweep():
     started = time.monotonic()
-    cells, fit = run_turnover_sweep(SweepSpec(), workers=os.cpu_count() or 1)
+    cells, fit = run_turnover_sweep(y=SWEEP_Y, workers=os.cpu_count() or 1)
     print(f"\n[turnover sweep: {len(cells)} cells x 10 runs in {time.monotonic() - started:.1f}s]")
     return cells, fit
 
@@ -93,7 +95,7 @@ def test_04_sqrt_mu_approximation(sweep):
     cells, _ = sweep
     worst_cell, worst_ratio = None, 1.0
     for cell in cells:
-        reference = expected_turnover(SweepSpec().y, cell.mu)
+        reference = expected_turnover(SWEEP_Y, cell.mu)
         ratio = max(cell.z_bar / reference, reference / cell.z_bar)
         if ratio > worst_ratio:
             worst_cell, worst_ratio = cell, ratio

@@ -402,14 +402,24 @@ def test_unwritable_out_dir_is_refused_before_the_compute(tmp_path, capsys, monk
     assert blocker.read_text() == "not a directory"
 
 
+SWEEP_WITHOUT_TURNOVER = ["reproduce", "--figure", "2right", "--n-grid", 3, "--mu-grid", "0.001,0.002,0.003",
+                          "--steps", 2, "--runs", 1]
+# at mu = 1 every product sells exactly once, so the N*mu = 10 target has no exponent to fit
+TARGET_WITHOUT_FIT = ["reproduce", "--figure", "2left", "--n", 10, "--targets", "2,10", "--steps", 2, "--runs", 1]
+
+
 def test_reproduce_cell_without_turnover_exits_4_naming_it(tmp_path, capsys):
-    # it exited 2 with an unflagged "all mu and z_bar values must be positive"
-    out = tmp_path / "out"
-    argv = ["reproduce", "--figure", "2right", "--n-grid", 3, "--mu-grid", "0.001,0.002,0.003", "--steps", 2, "--runs", 1]
-    assert run_cli(*argv, "--out-dir", out) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: no list turnover in the cell N=3, mu=0.001 "), err
-    assert not out.exists()
+    # the sweep exited 2 with an unflagged "all mu and z_bar values must be
+    # positive"; the target, 4 with "all samples equal s_min" naming nothing
+    for argv, message in (
+        (SWEEP_WITHOUT_TURNOVER, "no list turnover in the cell N=3, mu=0.001 "),
+        (TARGET_WITHOUT_FIT, "no exponent fit for the target N*mu=10 (mu=1.0) over 1 run(s) of 2 steps: all samples"),
+    ):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), err
+        assert not out.exists()
 
 
 def test_version_flag(capsys):
@@ -427,6 +437,19 @@ def _probe(script, **env):
         env={**os.environ, "PYTHONPATH": str(src), **env},
         capture_output=True, text=True, check=True,
     ).stdout
+
+
+@pytest.mark.parametrize(
+    "argv,status", [(["fit", "--input", "absent.csv"], 3), ([*TARGET_WITHOUT_FIT, "--out-dir", "out"], 4)]
+)
+def test_a_shell_sees_the_exit_status(tmp_path, argv, status):
+    src = Path(cli.__file__).resolve().parents[1]
+    finished = subprocess.run(
+        [sys.executable, "-m", "longtail.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert finished.returncode == status, finished.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_and_rejecting_argv_load_no_numpy():

@@ -8,7 +8,6 @@ import pytest
 from longtail import experiments
 from longtail.analysis import InsufficientDataError
 from longtail.experiments import (
-    SweepSpec,
     derive_run_seed,
     log_binned_histogram,
     per_mu_stats,
@@ -17,14 +16,7 @@ from longtail.experiments import (
 )
 from oracles import borel_pmf, traced_peak
 
-SMALL_SPEC = SweepSpec(
-    n_grid=(50, 100),
-    mu_grid=(0.02, 0.05),
-    runs_per_cell=2,
-    steps=60,
-    y=3,
-    master_seed=123,
-)
+SMALL = {"n_grid": (50, 100), "mu_grid": (0.02, 0.05), "runs_per_cell": 2, "steps": 60, "y": 3, "master_seed": 123}
 
 
 def test_run_seeds_are_pure_and_distinct():
@@ -35,17 +27,15 @@ def test_run_seeds_are_pure_and_distinct():
 
 
 def test_sweep_record_count_and_cell_order():
-    cells, _ = run_turnover_sweep(SMALL_SPEC)
-    assert len(cells) == len(SMALL_SPEC.n_grid) * len(SMALL_SPEC.mu_grid)
-    assert [(c.n_agents, c.mu) for c in cells] == [
-        (n, mu) for n in SMALL_SPEC.n_grid for mu in SMALL_SPEC.mu_grid
-    ]
+    cells, _ = run_turnover_sweep(**SMALL)
+    assert len(cells) == len(SMALL["n_grid"]) * len(SMALL["mu_grid"])
+    assert [(c.n_agents, c.mu) for c in cells] == [(n, mu) for n in SMALL["n_grid"] for mu in SMALL["mu_grid"]]
 
 
 def test_sweep_parallel_matches_serial():
-    serial, fit_serial = run_turnover_sweep(SMALL_SPEC, workers=1)
-    parallel, fit_parallel = run_turnover_sweep(SMALL_SPEC, workers=2)
-    assert [c.z_bar_runs for c in serial] == [c.z_bar_runs for c in parallel]
+    serial, fit_serial = run_turnover_sweep(**SMALL, workers=1)
+    parallel, fit_parallel = run_turnover_sweep(**SMALL, workers=2)
+    assert serial == parallel
     assert fit_serial.slope == fit_parallel.slope
 
 
@@ -82,48 +72,64 @@ def test_sweep_pool_is_clamped_to_cells_and_cpus(monkeypatch, workers, cpus, poo
         concurrent.futures, "ProcessPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers)
     )
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-    cells, _ = run_turnover_sweep(SMALL_SPEC, workers=workers)
+    cells, _ = run_turnover_sweep(**SMALL, workers=workers)
     assert sizes == ([] if pool_size is None else [pool_size])
-    serial, _ = run_turnover_sweep(SMALL_SPEC)
-    assert [c.z_bar_runs for c in cells] == [c.z_bar_runs for c in serial]
+    assert cells == run_turnover_sweep(**SMALL)[0]
 
 
-def test_sweep_names_a_cell_without_turnover():
+def test_sweep_names_a_cell_without_turnover(monkeypatch):
     # 2 steps at N = 3 and mu <= 0.003 see no new product: z_bar is 0, which
     # the log-log fit cannot take
-    spec = SweepSpec(n_grid=(3,), mu_grid=(0.001, 0.002, 0.003), runs_per_cell=1, steps=2)
+    empty = {"n_grid": (3,), "mu_grid": (0.001, 0.002, 0.003), "runs_per_cell": 1, "steps": 2}
+    # a pool runs every cell and reports the first empty one in grid order
     with pytest.raises(InsufficientDataError, match=r"cell N=3, mu=0\.001 "):
-        run_turnover_sweep(spec)
+        run_turnover_sweep(**empty, workers=2)
+    calls = []
+
+    def counted(task, **protocol):
+        calls.append(task)
+        return run_cell(task, **protocol)
+
+    run_cell = experiments._run_cell
+    monkeypatch.setattr(experiments, "_run_cell", counted)  # after the pool: it cannot pickle counted
+    with pytest.raises(InsufficientDataError, match=r"cell N=3, mu=0\.001 "):
+        run_turnover_sweep(**empty)
+    assert calls == [(0, (3, 0.001))]  # a serial sweep stops at the first empty cell
 
 
 @pytest.mark.parametrize("workers", [0, -2])
 def test_sweep_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        run_turnover_sweep(SMALL_SPEC, workers=workers)
+        run_turnover_sweep(**SMALL, workers=workers)
 
 
 def test_sweep_per_mu_stats_shape():
-    cells, _ = run_turnover_sweep(SMALL_SPEC)
+    cells, _ = run_turnover_sweep(**SMALL)
     stats = per_mu_stats(cells)
-    assert [row[0] for row in stats] == list(SMALL_SPEC.mu_grid)
+    assert [row[0] for row in stats] == list(SMALL["mu_grid"])
     for _, mean, std in stats:
         assert mean >= 0 and std >= 0
 
 
-def test_spec_validation():
+def test_spec_validation(monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the protocol was checked")
+
+    # without this, a check that stopped firing would run the default 60 x 10 sweep
+    monkeypatch.setattr(experiments, "_run_cell", no_cell)
     with pytest.raises(ValueError):
-        SweepSpec(n_grid=(), mu_grid=(0.1,))
+        run_turnover_sweep(n_grid=(), mu_grid=(0.1,))
     with pytest.raises(ValueError):
-        SweepSpec(runs_per_cell=0)
+        run_turnover_sweep(runs_per_cell=0)
     # the pooled fit needs 2 distinct positive mu values and 3 cells
     with pytest.raises(ValueError, match="mu_grid"):
-        SweepSpec(mu_grid=(0.01, 0.01))
+        run_turnover_sweep(mu_grid=(0.01, 0.01))
     with pytest.raises(ValueError, match="mu_grid"):
-        SweepSpec(mu_grid=(0.0, 0.01))
+        run_turnover_sweep(mu_grid=(0.0, 0.01))
     with pytest.raises(ValueError, match="cells"):
-        SweepSpec(n_grid=(100,), mu_grid=(0.01, 0.02))
+        run_turnover_sweep(n_grid=(100,), mu_grid=(0.01, 0.02))
     with pytest.raises(ValueError, match="n_grid"):
-        SweepSpec(n_grid=(100, 0))
+        run_turnover_sweep(n_grid=(100, 0))
 
 
 def test_log_binned_histogram_hand_case():
@@ -177,8 +183,8 @@ def test_sales_distribution_rejects_bad_target():
 
 
 def test_sweep_cell_keeps_no_lists_or_buffer():
-    spec = SweepSpec(n_grid=(1000,), mu_grid=(0.01, 0.02, 0.05), steps=4000, runs_per_cell=1)
-    _, peak = traced_peak(experiments._run_cell, spec, (0, (1000, 0.05)))
+    protocol = {"master_seed": 0, "runs_per_cell": 1, "steps": 4000, "y": 5}
+    _, peak = traced_peak(experiments._run_cell, (0, (1000, 0.05)), **protocol)
     # streamed top lists peaked at 57 KB, flat in steps. Storing the 4001
     # lists peaked at 1.12 MB, and a cumulative buffer (1000 + 4000 * 50
     # int64 slots) would add 1.6 MB.

@@ -103,8 +103,12 @@ def test_run_records_every_period():
 
 
 def test_run_rejects_bad_y():
+    config = SimConfig(n_agents=10, mu=0.1, steps=5)
     with pytest.raises(ValueError, match="y"):
-        run(SimConfig(n_agents=10, mu=0.1, steps=5), y=0)
+        run(config, y=0)
+    # top_lists refuses y when called, before its first list is read
+    with pytest.raises(ValueError, match="y must be >= 1, got 0"):
+        top_lists(config, 0)
 
 
 def test_rank_top_prefers_lower_id_on_ties():
