@@ -9,7 +9,8 @@ needed to reproduce the outputs bit-exactly.
 Every command and flag is declared once, in COMMANDS; that table builds the
 argument parser, resolves values (built-in default, then --config, then the
 flag), checks required flags and names the flag behind a library field in
-validation errors.
+validation errors, and the flag behind a file (--input, --config) in I/O
+errors.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -429,10 +430,22 @@ def _resolve(name: str, passed: dict) -> argparse.Namespace:
     return argparse.Namespace(**values)
 
 
-def _flagged(message: str, name: str) -> str:
-    """Prefix a message that starts with a library field with that field's flag."""
-    field = message.split(" ", 1)[0]
-    flag = next((f.name for f in COMMANDS[name].flags if field in f.fields), None)
+def _flagged(exc: Exception, name: str, values: dict) -> str:
+    """The message of exc, prefixed with the flag behind it, if any.
+
+    An OSError is behind the flag whose value (in ``values``, by dest) is the
+    file it names, such as --input or --config; any other error is behind the
+    flag of the library field its message starts with.
+    """
+    message = str(exc)
+    if isinstance(exc, OSError):
+        failed = Path(exc.filename) if isinstance(exc.filename, str) else None
+        flags = ("--" + dest.replace("_", "-") for dest, value in values.items()
+                 if isinstance(value, str) and Path(value) == failed)
+    else:
+        field = message.split(" ", 1)[0]
+        flags = (f.name for f in COMMANDS[name].flags if field in f.fields)
+    flag = next(flags, None)
     return f"{flag}: {message}" if flag else message
 
 
@@ -443,6 +456,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     name = passed.pop("command")
+    a = argparse.Namespace(**passed)  # until resolved, an error is named from the flags as passed
     try:
         a = _resolve(name, passed)
         if not hasattr(a, "out_dir"):
@@ -455,7 +469,7 @@ def main(argv=None) -> int:
         _write_outputs(Path(a.out_dir), *COMMANDS[name].handler(a), started)
         return 0
     except (ValueError, OSError) as exc:
-        print(f"error: {_flagged(str(exc), name)}", file=sys.stderr)
+        print(f"error: {_flagged(exc, name, vars(a))}", file=sys.stderr)
         return 4 if isinstance(exc, InsufficientDataError) else 2 if isinstance(exc, ValueError) else 3
 
 

@@ -6,8 +6,9 @@ searchsorted step picks each copier's product by binary search over the
 running sales totals, the enumeration scans the stocking objective value by
 value, the whole-array argmax takes one cumsum over every scanned rank, the
 high-precision sum recomputes the objective with 50-digit arithmetic,
-Ewens' sampling formula gives the expected number of live products, and the
-Borel law gives the frequencies of small cumulative sales.
+Ewens' sampling formula gives the expected number of live products, the
+Borel law gives the frequencies of small cumulative sales, and the square
+of a reported fraction is taken in exact rational arithmetic.
 ``traced_peak`` measures the peak of Python-traced memory over one call.
 The CSV writer and readers are the earlier ones built on ``csv.writer``,
 ``csv.DictReader`` and a ``csv.reader`` loop numbering rows by count.
@@ -16,6 +17,7 @@ The CSV writer and readers are the earlier ones built on ``csv.writer``,
 import csv
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -95,6 +97,11 @@ def borel_pmf(s: int, lam: float) -> float:
     had so far; over many steps they are a small share of the sample.
     """
     return math.exp(-lam * s + (s - 1) * math.log(lam * s) - math.lgamma(s + 1))
+
+
+def square_of_repr(f: float) -> float:
+    """The square of the decimal value that ``repr(f)`` prints, rounded once to float."""
+    return float(Fraction(repr(f)) ** 2)
 
 
 def objective(y: int, params: InventoryParams) -> float:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longtail.analysis import (
@@ -15,7 +15,8 @@ from longtail.analysis import (
     fit_turnover_exponent,
     turnover,
 )
-from oracles import power_law_samples
+from longtail.chartdata import read_sales_column
+from oracles import power_law_samples, square_of_repr, traced_peak
 
 
 def test_power_law_sampler_oracle():
@@ -63,6 +64,29 @@ def test_fit_alpha_scale_covariance(factor):
     base = fit_alpha(samples, s_min=1.0)
     scaled = fit_alpha(samples * factor, s_min=factor)
     assert scaled.alpha == pytest.approx(base.alpha, rel=1e-9)
+
+
+def test_fit_memory_is_bounded(tmp_path):
+    # 20 000 power-law sales up to 1e9, like a simulated market's; the list
+    # is read inside the traced call, as the CLI's fit does
+    sales = np.minimum(np.floor(power_law_samples(alpha=1.6, n=20_000, s_min=1.0, seed=3)), 1e9).astype(int)
+    path = tmp_path / "sales.csv"
+    path.write_text("sales\n" + "".join(f"{s}\n" for s in sales.tolist()))
+    fit, peak = traced_peak(lambda: fit_alpha(read_sales_column(path)))
+    assert fit.n_samples == 20_000
+    # 0.35 MB; 0.67 MB with the reader's list, the converted samples, the
+    # filtered copy and its ratios to s_min alive together
+    assert peak < 500_000
+
+
+def test_fit_leaves_the_callers_array_unmodified():
+    samples = power_law_samples(alpha=2.5, n=1000, s_min=1.0, seed=5)
+    before = samples.copy()
+    fit = fit_alpha(samples, s_min=2.0)
+    assert np.array_equal(samples, before)
+    kept = before[before >= 2.0]
+    # bit for bit the estimate of the out-of-place logs
+    assert fit.alpha == 1.0 + kept.size / float(np.log(kept / 2.0).sum())
 
 
 def turnover_of_list_and_iterator(lists):
@@ -166,3 +190,19 @@ def test_calibrate_mu_bounds():
         calibrate_mu(-0.01)
     with pytest.raises(ValueError):
         calibrate_mu(1.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=st.floats(0.0, 1.0)  # subnormals included
+    | st.floats(0.0, 2.3e-308)
+    | st.integers(0, 2**53).map(lambda i: i / 2**53)  # reprs of 15-17 digits, mostly
+    | st.integers(1, 10**17 - 1).map(lambda m: float(f"0.{m:017d}"))
+)
+@example(f=5e-324)
+@example(f=2.2250738585072014e-308)
+@example(f=0.1)
+@example(f=1 / 3)
+@example(f=0.9999999999999999)
+def test_calibrate_mu_squares_the_reported_decimal_exactly(f):
+    assert calibrate_mu(f) == square_of_repr(f)

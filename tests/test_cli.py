@@ -152,6 +152,27 @@ def test_fit_missing_file_exit_3(tmp_path):
     assert run_cli("fit", "--input", tmp_path / "nope.csv") == 3
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["fit", "--input", "nope.csv"], "--input"),
+        (["turnover", "--input", "./nope.csv", "--y", 2], "--input"),
+        (["optimize", "--config", "nope.json", "--A", 1, "--B", 1, "--mu", 0.1], "--config"),
+        (["fit", "--input", "a-directory"], "--input"),
+        (["fit", "--config", "input.json"], "--input"),  # the path comes from --config
+    ],
+    ids=["fit-missing", "turnover-missing", "config-missing", "fit-directory", "input-from-config"],
+)
+def test_a_file_error_exits_3_naming_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    # each printed only "error: [Errno 2] ..." or "error: [Errno 21] ..."
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "input.json").write_text('{"input": "nope.csv"}')
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: [Errno "), err
+
+
 def test_fit_malformed_column_exit_2(tmp_path, capsys):
     path = tmp_path / "sales.csv"
     write_lines(path, "sales", ["3", "oops"])
@@ -479,6 +500,20 @@ print(sorted(m for m in sys.modules if m.startswith('longtail.') or m == 'decima
         "[[], [], (0, []), (0, []), (2, []), (2, []), (0, True)]",
         "['longtail.cli', 'longtail.defaults', 'longtail.inventory']",
     ]
+
+
+def test_turnover_loads_no_decimal(tmp_path):
+    # calibrate_mu squared its fraction through decimal, about 0.3 MB of RSS
+    path = tmp_path / "chart.csv"
+    write_lines(path, "period,product_id", chart_rows([[1, 2], [2, 3], [3, 4]]))
+    script = f"""
+import contextlib, io, sys
+import longtail.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(['turnover', '--input', {str(path)!r}, '--y', '2'])
+print(code, 'decimal' in sys.modules)
+"""
+    assert _probe(script) == "0 False\n"
 
 
 @pytest.mark.parametrize(
