@@ -138,4 +138,4 @@ def load_chart(path: str | Path) -> list[list[int]]:
     periods = sorted(by_period)
     if periods != list(range(periods[0], periods[0] + len(periods))):
         raise ValueError(f"{path}: periods must be consecutive integers, got gaps in {periods[0]}..{periods[-1]}")
-    return [list(by_period[p]) for p in periods]
+    return [list(by_period.pop(p)) for p in periods]  # popped: each period's dict is freed once copied

@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -92,13 +93,19 @@ def _check_out_dir(out_dir: Path) -> None:
     """Raise OSError naming --out-dir, before any compute, when out_dir cannot be written.
 
     The nearest existing ancestor of out_dir (out_dir itself if it exists)
-    must be a directory this process may write into.
+    must be a directory in which this process can make a directory: a probe
+    directory is made and removed there. os.access is not enough, because for
+    root it passes directories, such as those under /proc, where none can be made.
     """
     ancestor = out_dir.absolute()
     while not ancestor.exists():
         ancestor = ancestor.parent
-    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
-        raise OSError(f"--out-dir: {ancestor} is not a writable directory, so {out_dir} cannot be written")
+    probe = ancestor / f".longtail-probe-{os.getpid()}"
+    try:
+        os.mkdir(probe)
+        os.rmdir(probe)
+    except OSError:
+        raise OSError(f"--out-dir: {ancestor} is not a writable directory, so {out_dir} cannot be written") from None
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -154,7 +161,7 @@ def cmd_turnover(a) -> dict:
     shortest = min(len(l) for l in lists)
     if a.y > shortest:
         raise ValueError(f"y {a.y} exceeds the shortest per-period list length ({shortest})")
-    stats = turnover([l[: a.y] for l in lists])
+    stats = turnover(l[: a.y] for l in lists)  # streamed: no list of every period's prefix
     fraction = stats.z_bar / a.y  # a.y <= shortest < 2**53: the correctly rounded quotient
     return {**asdict(stats), "as_fraction": fraction, "mu_hat": calibrate_mu(fraction)}
 
@@ -353,6 +360,9 @@ def _help(flag: Flag) -> str:
     return f"{flag.help} (default {default})"
 
 
+# one parser per process: parsing keeps no state in it, and each rebuild left
+# about 50 KB of argparse objects in reference cycles for a full collection
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="longtail",

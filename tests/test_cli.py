@@ -1,5 +1,6 @@
 """CLI surface: subcommands, output files, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import importlib.util
@@ -23,6 +24,7 @@ from longtail import chartdata, cli
 from longtail.analysis import fit_alpha
 from longtail.cli import COMMANDS, main
 from longtail.inventory import InventoryResult
+from oracles import traced_peak
 
 
 def run_cli(*args):
@@ -233,6 +235,24 @@ def test_turnover_monthly_chart_fraction(tmp_path, capsys):
     assert payload["mu_hat"] == pytest.approx(0.003136, abs=1e-12)
 
 
+def test_turnover_memory_is_bounded(tmp_path, capsys):
+    # a 1000-period x 10-id chart, the size of perfbench's, whose ids lie above the
+    # small-int cache; one id enters and one leaves each period. Traced warm, so
+    # imports and the parser are not counted
+    lists = [[1000 + period + rank for rank in range(10)] for period in range(1000)]
+    path = tmp_path / "chart.csv"
+    write_lines(path, "period,product_id", chart_rows(lists))
+    argv = ["turnover", "--input", str(path), "--y", "5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    assert read_json(capsys)["z_per_period"] == [1] * 999
+    # 742 KB; 860 KB with every period's id dict alive beside its list, and a
+    # list of every period's prefix
+    assert peak < 800_000
+
+
 def test_turnover_y_too_large_exit_2(tmp_path, capsys):
     path = tmp_path / "chart.csv"
     write_lines(path, "period,product_id", ["0,1", "0,2", "1,1", "1,2", "1,3"])
@@ -336,6 +356,42 @@ def test_optimize_refuses_a_scan_past_the_bound_at_once(capsys):
     assert capsys.readouterr().err.startswith("error: --y-max: y_max 1000000000000 ")
 
 
+def test_optimize_memory_is_bounded(capsys):
+    # traced warm, so imports are not counted; each call rebuilt the argparse tree
+    argv = ["optimize", "--A", "10", "--B", "1", "--mu", "0.25"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    assert read_json(capsys)["y_bruteforce"] == 2
+    assert peak < 20_000  # 6 KB; 44 KB when each call built its own parser
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, tmp_path):
+    # the parent parser and one per command: 6 constructions, made by every call before
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    sales = tmp_path / "sales.csv"
+    write_lines(sales, "sales", ["1", "3", "9", "40"])
+    assert run_cli("fit", "--input", sales) == 0
+    assert run_cli("simulate", "--n", "x") == 2
+    assert run_cli("--help") == 0
+    capsys.readouterr()
+    assert run_cli("optimize", "--A", 10, "--B", 1, "--mu", 0.25) == 0
+    last = capsys.readouterr()
+    assert len(built) == 1 + len(COMMANDS)
+    cli._build_parser.cache_clear()
+    assert run_cli("optimize", "--A", 10, "--B", 1, "--mu", 0.25) == 0
+    assert capsys.readouterr() == last
+
+
 def test_a_patched_numeric_name_survives_the_first_dispatch(monkeypatch, capsys):
     # perfbench's tracer and the tests replace cli's numeric names before the handler binds them
     stub = InventoryResult(y_closed_form=0.5, y_closed_form_floor=0, y_bruteforce=7, objective_at_optimum=1.5,
@@ -421,6 +477,25 @@ def test_unwritable_out_dir_is_refused_before_the_compute(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out-dir: {blocker} is not a writable directory"), err
     assert blocker.read_text() == "not a directory"
+
+
+def test_out_dir_where_no_directory_can_be_made_is_refused_before_the_compute(tmp_path, capsys, monkeypatch):
+    # os.access granted root every directory, so the run went ahead and only its write failed
+    mkdir = os.mkdir
+
+    def refusing_mkdir(path, *args, **kwargs):
+        if Path(path).parent == tmp_path:
+            raise PermissionError(13, "Permission denied", str(path))
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", refusing_mkdir)
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("the run started"))
+    out = tmp_path / "sub" / "out"
+    assert run_cli("simulate", "--n", 10, "--mu", 0.1, "--steps", 5, "--out-dir", out) == 3
+    assert capsys.readouterr().err == (
+        f"error: --out-dir: {tmp_path} is not a writable directory, so {out} cannot be written\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 SWEEP_WITHOUT_TURNOVER = ["reproduce", "--figure", "2right", "--n-grid", 3, "--mu-grid", "0.001,0.002,0.003",
