@@ -9,8 +9,8 @@ needed to reproduce the outputs bit-exactly.
 Every command and flag is declared once, in COMMANDS; that table builds the
 argument parser, resolves values (built-in default, then --config, then the
 flag), checks required flags and names the flag behind a library field in
-validation errors, and the flag behind a file (--input, --config) in I/O
-errors.
+validation errors, and the flag behind a file (--input, --config, or the
+--out-dir holding it) in I/O errors.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -132,7 +132,7 @@ def _from_json(kind: type, value):
 
 def cmd_simulate(a) -> tuple:
     _bind("SimConfig", "run", "turnover")
-    config = SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, x0=a.x0, seed=a.seed, burn_in=a.burn_in)
+    config = SimConfig(a.n, a.mu, a.steps, a.seed)
     cumulative, lists = run(config, y=a.y)
     stats = turnover(lists)
     return "simulate", {**asdict(config), "y": a.y}, config.seed, {  # (command, config, seed, files)
@@ -312,8 +312,6 @@ COMMANDS = {
         Flag("--steps", int, REQUIRED, "number of periods", ("steps",)),
         Flag("--seed", int, 0, "RNG seed", ("seed",)),
         Flag("--y", int, 5, "top-list size to record", ("y",)),
-        Flag("--x0", int, None, "initial product count (default: n)", ("x0",)),
-        Flag("--burn-in", int, 0, "periods excluded from cumulative sales", ("burn_in",)),
         Flag("--out-dir", str, REQUIRED, "output directory"),
     )),
     "fit": Command(cmd_fit, "fit a power-law exponent to a sales CSV", (
@@ -393,7 +391,7 @@ def _read_config(path: str, name: str) -> dict:
     A string goes through the flag's type; a non-empty list is accepted only
     by (and required for any non-string value of) a list-typed flag; a number
     only by an int flag when whole, or by a float flag; a boolean by no flag.
-    A flag set by two keys (``n`` twice, or ``burn-in`` and ``burn_in``) is refused.
+    A flag set by two keys (``n`` twice, or ``out-dir`` and ``out_dir``) is refused.
     """
     with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259), whatever the locale
         try:
@@ -444,14 +442,14 @@ def _flagged(exc: Exception, name: str, values: dict) -> str:
     """The message of exc, prefixed with the flag behind it, if any.
 
     An OSError is behind the flag whose value (in ``values``, by dest) is the
-    file it names, such as --input or --config; any other error is behind the
-    flag of the library field its message starts with.
+    file it names or a directory above it (--input, --config, --out-dir); any
+    other error is behind the flag of the library field its message starts with.
     """
     message = str(exc)
     if isinstance(exc, OSError):
         failed = Path(exc.filename) if isinstance(exc.filename, str) else None
         flags = ("--" + dest.replace("_", "-") for dest, value in values.items()
-                 if isinstance(value, str) and Path(value) == failed)
+                 if isinstance(value, str) and failed and failed.is_relative_to(value))
     else:
         field = message.split(" ", 1)[0]
         flags = (f.name for f in COMMANDS[name].flags if field in f.fields)

@@ -196,7 +196,7 @@ def run_sales_distribution(
     for cell_index, target in enumerate(targets):
         mu = target / n_agents
         configs = _replicates(master_seed, cell_index, replicates, n_agents=n_agents, mu=mu, steps=steps)
-        # every product sold: N // x0 >= 1 in period 0, or 1 in its first period
+        # every product sold: once in period 0, or once in its first period
         samples = np.concatenate([run(config, y=1)[0] for config in configs])
         winner_take_all = target <= 1.0
         try:

@@ -35,32 +35,22 @@ MAX_AGENTS = 2**59
 class SimConfig:
     """Parameters for one simulation run.
 
-    ``x0`` defaults to ``n_agents`` (one initial product per agent).
-    ``burn_in`` counts early periods whose sales are excluded from the
-    cumulative-sales record; with the default of 0 the initial allocation
-    (period 0) is counted too.
+    Period 0 gives each of the ``n_agents`` agents its own product with one
+    sale; ``run`` counts every period's sales, period 0's included.
     """
 
     n_agents: int
     mu: float
     steps: int
-    x0: int | None = None
     seed: int = 0
-    burn_in: int = 0
 
     def __post_init__(self):
-        if self.x0 is None:
-            self.x0 = self.n_agents
         if not 1 <= self.n_agents < MAX_AGENTS:
             raise ValueError(f"n_agents must be within [1, 2**59), got {self.n_agents}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must be within [0, 1], got {self.mu}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 1 <= self.x0 <= self.n_agents:
-            raise ValueError(f"x0 must be within [1, n_agents], got {self.x0}")
-        if not 0 <= self.burn_in < self.steps:
-            raise ValueError(f"burn_in must be within [0, steps), got {self.burn_in}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -88,16 +78,9 @@ def rank_top(product_ids: np.ndarray, sales: np.ndarray, y: int) -> np.ndarray:
 
 
 def init_state(config: SimConfig) -> SimState:
-    """Period-0 state: agents spread as evenly as possible over x0 products.
-
-    When n_agents is not a multiple of x0 the remainder goes to the lowest
-    product ids (round-robin assignment by id).
-    """
-    x0 = config.x0
-    ids = np.arange(x0, dtype=np.int64)
-    sales = np.full(x0, config.n_agents // x0, dtype=np.int64)
-    sales[: config.n_agents % x0] += 1
-    return SimState(product_ids=ids, sales=sales, next_product_id=x0)
+    """Period-0 state: one product per agent, each with one sale."""
+    n = config.n_agents
+    return SimState(product_ids=np.arange(n, dtype=np.int64), sales=np.ones(n, dtype=np.int64), next_product_id=n)
 
 
 def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimState:
@@ -179,8 +162,7 @@ def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, list[list[int]]]:
     """Run init plus ``config.steps`` steps, recording the top-y list each period.
 
     Returns ``(cumulative, lists)``: ``cumulative[i]`` is product i's sales
-    summed over the counted periods (period 0 when ``burn_in`` is 0, then
-    every period after ``burn_in``), for every product ever created;
+    summed over all steps+1 periods, for every product ever created;
     ``lists`` equals ``list(top_lists(config, y))``, the steps+1 periods'
     top lists (period 0 included), from the same draws. Identical
     (config, y) inputs reproduce identical results. A caller that reads
@@ -189,7 +171,7 @@ def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, list[list[int]]]:
 
     Raises ValueError when numpy cannot allocate the cumulative-sales
     buffer, before the first step, naming ``steps`` when it exceeds the
-    one-step buffer ``x0 + ceil(mu*N)`` (the buffer is at most their
+    one-step buffer ``N + ceil(mu*N)`` (the buffer is at most their
     product) and ``n_agents`` otherwise; and naming ``n_agents`` when it
     cannot allocate a state or a step's arrays.
     """
@@ -199,17 +181,16 @@ def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, list[list[int]]]:
     # product it rounds), so this one buffer holds every id run can reach
     per_step = math.ceil(config.mu * config.n_agents)
     try:
-        totals = np.zeros(config.x0 + config.steps * per_step, dtype=np.int64)
+        totals = np.zeros(config.n_agents + config.steps * per_step, dtype=np.int64)
     except (MemoryError, ValueError) as exc:
         # the buffer is at most steps times the one-step buffer: name the larger of the two
-        larger = config.steps > config.x0 + per_step
+        larger = config.steps > config.n_agents + per_step
         name, value = ("steps", config.steps) if larger else ("n_agents", config.n_agents)
         raise ValueError(f"{name} {value} need a cumulative-sales buffer numpy cannot allocate: {exc}") from None
     lists = []
     try:
-        for period, state in enumerate(trajectory(config)):
-            if config.burn_in == 0 or period > config.burn_in:
-                totals[state.product_ids] += state.sales
+        for state in trajectory(config):
+            totals[state.product_ids] += state.sales
             lists.append(rank_top(state.product_ids, state.sales, y).tolist())
     except MemoryError as exc:  # a state or a step holds arrays of up to about 2N entries
         raise ValueError(f"n_agents {config.n_agents} need arrays numpy cannot allocate: {exc}") from None

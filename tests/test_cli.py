@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import importlib.util
 import io
 import json
@@ -91,7 +92,7 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys, monkeypatch):
         written.append(path)
         if len(written) == 2:
             Path(path).write_text("period,prod")  # the disk fills part-way through the file
-            raise OSError(f"{path}: disk full")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))  # named as open() names it
         write_csv(path, header, rows)
 
     monkeypatch.setattr(chartdata, "write_csv", fail_on_second_file)
@@ -100,7 +101,10 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys, monkeypatch):
     # no manifest and no temporary file; the half-written file and the one
     # after it keep the previous run's bytes
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    assert "Traceback" not in capsys.readouterr().err
+    # it printed the temporary file's path with no flag
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out-dir: [Errno 28] "), err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +152,6 @@ def test_fit_reads_utf8_under_the_c_locale(tmp_path, capsys):
     script = f"import sys; from longtail.cli import main; sys.exit(main(['fit', '--input', {str(path)!r}]))"
     c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     assert _probe(script, **c_locale) == capsys.readouterr().out
-
-
-def test_fit_missing_file_exit_3(tmp_path):
-    assert run_cli("fit", "--input", tmp_path / "nope.csv") == 3
 
 
 @pytest.mark.parametrize(
@@ -654,6 +654,32 @@ print(cli.main(['reproduce', '--figure', '3', '--out-dir', {str(tmp_path / "out"
     assert (tmp_path / "out" / "inventory_curves.svg").read_text().startswith("<svg")
 
 
+def test_every_traced_name_is_called_through_its_wrapper(tmp_path):
+    # the tracer wraps each name on the freshly imported cli, before any
+    # dispatch; a command that bound its own copy would bypass the wrapper
+    out = str(tmp_path / "out")
+    script = f"""
+import contextlib, io
+import longtail.cli as cli
+called = set()
+def wrap(name, inner):
+    return lambda *args, **kwargs: called.add(name) or inner(*args, **kwargs)
+for name in {list(CLI_TRACED)!r}:
+    setattr(cli, name, wrap(name, getattr(cli, name)))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ['simulate', '--n', '300', '--mu', '0.01', '--steps', '200', '--out-dir', {out!r}],
+        ['fit', '--input', {out + "/cumulative_sales.csv"!r}],
+        ['turnover', '--input', {out + "/top_products.csv"!r}, '--y', '3'],
+        ['optimize', '--A', '10', '--B', '1', '--mu', '0.25'],
+        ['reproduce', '--figure', '2right', '--n-grid', '60,120', '--mu-grid', '0.02,0.05', '--runs', '1',
+         '--steps', '80', '--out-dir', {out + "-2right"!r}],
+    )]
+print(codes, sorted(called))
+"""
+    assert _probe(script) == f"{[0] * 5} {sorted(CLI_TRACED)}\n"
+
+
 # ---------------------------------------------------------------------------
 # config file precedence
 
@@ -708,7 +734,7 @@ def test_config_not_an_object_exit_2(tmp_path, capsys, content, reason):
 @pytest.mark.parametrize(
     "keys,flag",
     # both ran, with the value of the last key
-    [('"n": 10, "burn-in": 1, "burn_in": 2', "--burn-in"), ('"n": 10, "n": 20', "--n")],
+    [('"n": 10, "out-dir": "a", "out_dir": "b"', "--out-dir"), ('"n": 10, "n": 20', "--n")],
     ids=["dash-and-underscore", "repeated-key"],
 )
 def test_config_setting_a_flag_twice_exit_2(tmp_path, capsys, monkeypatch, keys, flag):
@@ -718,10 +744,6 @@ def test_config_setting_a_flag_twice_exit_2(tmp_path, capsys, monkeypatch, keys,
     assert run_cli("simulate", "--config", config, "--out-dir", tmp_path / "out") == 2
     assert capsys.readouterr().err == f"error: {flag}: set twice in --config {config}\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_config_missing_file_exit_3(tmp_path):
-    assert run_cli("simulate", "--config", tmp_path / "nope.json") == 3
 
 
 def test_missing_required_flag_exit_2(capsys):
@@ -734,10 +756,10 @@ def test_missing_required_flag_exit_2(capsys):
     [
         (
             ["simulate"],
-            # string converted by the flag's type; mu: flag over config; x0: config over default
-            {"n": "80", "mu": 0.05, "steps": 20, "x0": 40, "burn-in": "2"},
+            # strings converted by the flag's type; mu: flag over config; seed: config over default
+            {"n": "80", "mu": 0.05, "steps": 20, "seed": "4"},
             ["--mu", "0.5"],
-            {"n_agents": 80, "mu": 0.5, "steps": 20, "x0": 40, "seed": 0, "burn_in": 2, "y": 5},
+            {"n_agents": 80, "mu": 0.5, "steps": 20, "seed": 4, "y": 5},
         ),
         (
             ["reproduce", "--figure", "2right"],
@@ -751,7 +773,7 @@ def test_missing_required_flag_exit_2(capsys):
             # a JSON integer for a float flag becomes a float, as the flag's text would
             {"n": 80, "mu": 1, "steps": 20},
             [],
-            {"n_agents": 80, "mu": 1.0, "steps": 20, "x0": 80, "seed": 0, "burn_in": 0, "y": 5},
+            {"n_agents": 80, "mu": 1.0, "steps": 20, "seed": 0, "y": 5},
         ),
     ],
 )
@@ -780,9 +802,9 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (SIM_ARGS + ["--mu", 1.5], "--mu"),
         (SIM_ARGS + ["--mu", "nan"], "--mu"),
         (SIM_ARGS + ["--steps", 0], "--steps"),
-        (SIM_ARGS + ["--x0", 11], "--x0"),
+        (SIM_ARGS + ["--seed", 2**64], "--seed"),
         (SIM_ARGS + ["--seed", -1], "--seed"),
-        (SIM_ARGS + ["--burn-in", 5], "--burn-in"),
+        (SIM_ARGS + ["--n", 2**59], "--n"),  # MAX_AGENTS itself
         (SIM_ARGS + ["--y", 0], "--y"),
         (OPT_ARGS + ["--A", -1], "--A"),
         (OPT_ARGS + ["--A", "inf"], "--A"),
@@ -835,11 +857,12 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (RIGHT_ARGS + ["--mu-grid", "0.05,0.05,0.1", "--n-grid", 50], "--mu-grid"),
         (RIGHT_ARGS + ["--n-grid", "20,40,20"], "--n-grid"),
         (LEFT_ARGS + ["--targets", "2,0.5,2"], "--targets"),
-        # an N whose arrays numpy refused: a MemoryError traceback from a step's
-        # owner table or from the first state, or an error naming --steps for
-        # a buffer that N alone made too large; each asks for 8e15 bytes, past
-        # the 2**47-byte user address space, so it fails at once on any host
-        (SIM_ARGS + ["--n", 10**15, "--x0", 1, "--mu", 0, "--steps", 1], "--n"),
+        # an N just below MAX_AGENTS passes SimConfig, and numpy refuses its buffer
+        (SIM_ARGS + ["--n", 2**59 - 1, "--mu", 0, "--steps", 1], "--n"),
+        # an N whose arrays numpy refused: a MemoryError traceback from the first
+        # state, or an error naming --steps for a buffer that N alone made too
+        # large; each asks for 8e15 bytes, past the 2**47-byte user address
+        # space, so it fails at once on any host
         (SIM_ARGS + ["--n", 10**15, "--mu", 0, "--steps", 1], "--n"),
         (LEFT_ARGS + ["--n", 10**15, "--targets", 2, "--steps", 1], "--n"),
         (RIGHT_ARGS + ["--n-grid", f"{10**15},{2 * 10**15}", "--mu-grid", "0.01,0.02", "--steps", 1], "--n-grid"),
@@ -848,8 +871,8 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         # an N past what numpy can address: an OverflowError traceback from the
         # first state's fill value, and the unflagged "array is too big" and
         # "Maximum allowed size exceeded"; numpy refused them before allocating
-        (SIM_ARGS + ["--n", 10**19, "--x0", 1, "--mu", 0, "--steps", 1], "--n"),
-        (SIM_ARGS + ["--n", 2**62, "--x0", 1, "--mu", 0, "--steps", 1], "--n"),
+        (SIM_ARGS + ["--n", 10**19, "--mu", 0, "--steps", 1], "--n"),
+        (SIM_ARGS + ["--n", 2**62, "--mu", 0, "--steps", 1], "--n"),
         (RIGHT_ARGS + ["--n-grid", f"{10**19},{2 * 10**19}", "--mu-grid", "0.01,0.02", "--steps", 1], "--n-grid"),
     ],
 )
@@ -864,6 +887,19 @@ def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert err.startswith(f"error: {flag}: "), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_step_numpy_cannot_allocate_exits_2_naming_n(tmp_path, capsys, monkeypatch):
+    # a state or a step holds arrays of about 2N entries, more than the buffer
+    # run allocates first, so numpy can refuse them after taking the buffer
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 16.0 PiB")
+
+    monkeypatch.setattr("longtail.model.step", refuse)
+    assert run_cli(*SIM_ARGS, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == "error: --n: n_agents 10 need arrays numpy cannot allocate: Unable to allocate 16.0 PiB\n", err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,7 @@ import pytest
 
 from longtail.cli import main
 
-SIMULATE = ["simulate", "--n", "300", "--mu", "0.01", "--steps", "200", "--seed", "7", "--y", "5",
-            "--x0", "150", "--burn-in", "3"]
+SIMULATE = ["simulate", "--n", "300", "--mu", "0.01", "--steps", "200", "--seed", "7", "--y", "5"]
 CASES = {
     "simulate": [SIMULATE],
     "reproduce-2left": [["reproduce", "--figure", "2left", "--seed", "3", "--targets", "0.5,2",
@@ -41,10 +40,10 @@ CASES = {
 
 GOLDEN = {
     "fit": {
-        "stdout": "54eacb3b271f9b1b4ea1a0902967ce5a7aab4e9b60ba5f4582d4504b3ecea80c",
+        "stdout": "bfea29979dde2f1e37ea692d1a2c6281e37517ea24e4b3e3d47a05df109313b4",
     },
     "fit-defaults": {
-        "stdout": "729ad8ff3f6f08cfa427f43dc75cf0e4891e04c34ea7502c3cc66c4a290f6a74",
+        "stdout": "861f1784201f9a79072ed46730cfe2c8ec4a5fb38b6df77cf392f001f335eb95",
     },
     "optimize": {
         "stdout": "85e16e7b2c02dd782c41c19fd244463c90dbecc970e7e22299bd5496f39997f5",
@@ -77,13 +76,13 @@ GOLDEN = {
         "manifest.json": "75dbaef19a1006c7918eda0ea94c1498f7c82128b47678cfd69b8350d030ff4c",
     },
     "simulate": {
-        "cumulative_sales.csv": "6d73e663fa0a4d1eb264e247dc745a472d4b5080d0275a7a195d05e78acb6359",
-        "manifest.json": "425dc9459d8ce5abfd334afdcfb837e596ba4971ef0141b2e310507b0ea7f628",
-        "top_products.csv": "669b2dca69d346d343a3aa0719ec4b4a42fe7c0c68097f61432f6913489cd590",
-        "turnover.csv": "672d0bdf83e4c5543f81ee5b16d02cdf87460dded9fc0e568a8ecbe3270c6d44",
+        "cumulative_sales.csv": "a410d5e1d56c6670c70da456d6c9af1e80b1313d8ee29ca0e9314fe3d40786cc",
+        "manifest.json": "036a95d877a6d12324cf7af6152ba24e3805c45c5333c7ca6d668e9cf0629fa7",
+        "top_products.csv": "f0ef5841c275395da1974e5f34d7dcf1173d90a91682afa1d13e46d49fa127c1",
+        "turnover.csv": "d8c12ec9d4586412c4ae86c240b10931ad13d32e8f296b81b41ceafcac24a4d6",
     },
     "turnover": {
-        "stdout": "f4014b7736781943b3dd9f3e7bad06f3055cc3472f5be11ec989c6ae9f03e692",
+        "stdout": "d7bb0a386cb519a3facc043a04d4406e569c4400c795c2239804b1c51ea829f4",
     },
 }
 

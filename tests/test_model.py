@@ -19,27 +19,11 @@ def test_init_one_product_per_agent():
     assert state.next_product_id == 4
 
 
-def test_init_even_split():
-    state = init_state(SimConfig(n_agents=4, mu=0.1, steps=10, x0=2))
-    assert state.product_ids.tolist() == [0, 1]
-    assert state.sales.tolist() == [2, 2]
-
-
-def test_init_remainder_goes_to_lowest_ids():
-    state = init_state(SimConfig(n_agents=5, mu=0.1, steps=10, x0=2))
-    assert state.product_ids.tolist() == [0, 1]
-    assert state.sales.tolist() == [3, 2]
-
-
 def test_init_cumulative_counts_period_zero_without_burn_in():
-    # at mu = 1 every agent innovates, so period 1 sells ids 3..8 once each
-    cumulative, _ = run(SimConfig(n_agents=6, mu=1.0, steps=1, x0=3))
-    assert cumulative.tolist() == [2, 2, 2] + [1] * 6
-
-
-def test_init_cumulative_empty_with_burn_in():
-    cumulative, _ = run(SimConfig(n_agents=6, mu=1.0, steps=2, x0=3, burn_in=1))
-    assert cumulative.tolist() == [0] * 9 + [1] * 6
+    # at mu = 1 every agent innovates, so period 1 sells ids 3..5 once each;
+    # ids 0..2 sold once each in period 0 only
+    cumulative, _ = run(SimConfig(n_agents=3, mu=1.0, steps=1))
+    assert cumulative.tolist() == [1, 1, 1] + [1] * 3
 
 
 @pytest.mark.parametrize(
@@ -49,9 +33,6 @@ def test_init_cumulative_empty_with_burn_in():
         (dict(n_agents=10, mu=-0.1, steps=10), "mu"),
         (dict(n_agents=10, mu=1.5, steps=10), "mu"),
         (dict(n_agents=10, mu=0.1, steps=0), "steps"),
-        (dict(n_agents=10, mu=0.1, steps=10, x0=0), "x0"),
-        (dict(n_agents=10, mu=0.1, steps=10, x0=11), "x0"),
-        (dict(n_agents=10, mu=0.1, steps=10, burn_in=10), "burn_in"),
         (dict(n_agents=10, mu=0.1, steps=10, seed=-1), "seed"),
         (dict(n_agents=10, mu=0.1, steps=10, seed=2**64), "seed"),
     ],
@@ -62,9 +43,9 @@ def test_config_validation_names_field(kwargs, field):
 
 
 def test_step_mu_zero_is_absorbing():
-    config = SimConfig(n_agents=20, mu=0.0, steps=10, x0=1)
+    config = SimConfig(n_agents=20, mu=0.0, steps=10)
     rng = np.random.default_rng(0)
-    state = init_state(config)
+    state = SimState(product_ids=np.array([0]), sales=np.array([20]), next_product_id=1)
     for _ in range(10):
         state = step(state, config, rng)
         assert state.product_ids.tolist() == [0]
@@ -118,33 +99,30 @@ def test_rank_top_prefers_lower_id_on_ties():
     assert rank_top(ids, sales, 10).tolist() == [5, 9, 3]
 
 
-# mu in {0, 1} and fractional mu*N, x0 < N, burn_in from 0 to steps - 1
-oracle_cases = given(
+# mu in {0, 1} and fractional mu*N
+ORACLE_CASES = dict(
     n_agents=st.integers(min_value=1, max_value=2000),
     mu=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
     steps=st.integers(min_value=1, max_value=15),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
-    x0_fraction=st.floats(min_value=0.0, max_value=1.0),
-    burn_in_fraction=st.floats(min_value=0.0, max_value=1.0),
 )
 
 
-def oracle_config(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction) -> SimConfig:
-    x0 = max(1, round(x0_fraction * n_agents))
-    burn_in = min(steps - 1, round(burn_in_fraction * (steps - 1)))
-    return SimConfig(n_agents=n_agents, mu=mu, steps=steps, x0=x0, seed=seed, burn_in=burn_in)
-
-
 @settings(max_examples=60, deadline=None)
-@oracle_cases
-@example(n_agents=1, mu=0.5, steps=4, seed=0, x0_fraction=1.0, burn_in_fraction=0.0)
-@example(n_agents=7, mu=0.0, steps=6, seed=1, x0_fraction=0.0, burn_in_fraction=0.0)
-@example(n_agents=7, mu=1.0, steps=6, seed=2, x0_fraction=1.0, burn_in_fraction=0.0)
-@example(n_agents=2000, mu=0.003, steps=15, seed=3, x0_fraction=0.3, burn_in_fraction=0.5)
-def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
-    config = oracle_config(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction)
+@given(**ORACLE_CASES, x0_fraction=st.floats(min_value=0.0, max_value=1.0))
+@example(n_agents=1, mu=0.5, steps=4, seed=0, x0_fraction=1.0)
+@example(n_agents=7, mu=0.0, steps=6, seed=1, x0_fraction=0.0)
+@example(n_agents=7, mu=1.0, steps=6, seed=2, x0_fraction=1.0)
+@example(n_agents=2000, mu=0.003, steps=15, seed=3, x0_fraction=0.3)
+def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction):
+    # step takes any state whose sales sum to N: start from x0 products sharing
+    # them as evenly as possible, a few large sellers when x0 is small
+    config = SimConfig(n_agents, mu, steps, seed)
+    x0 = max(1, round(x0_fraction * n_agents))
+    sales = np.full(x0, n_agents // x0, dtype=np.int64)
+    sales[: n_agents % x0] += 1
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    state = oracle = init_state(config)
+    state = oracle = SimState(product_ids=np.arange(x0, dtype=np.int64), sales=sales, next_product_id=x0)
     names = ("product_ids", "sales")
     extinct: set[int] = set()
     for _ in range(steps):
@@ -169,32 +147,29 @@ def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction
 
 
 @settings(max_examples=60, deadline=None)
-@oracle_cases
-@example(n_agents=7, mu=0.0, steps=6, seed=1, x0_fraction=0.0, burn_in_fraction=0.0)
-@example(n_agents=7, mu=1.0, steps=6, seed=2, x0_fraction=1.0, burn_in_fraction=0.2)
-@example(n_agents=50, mu=0.13, steps=6, seed=4, x0_fraction=0.5, burn_in_fraction=1.0)
-@example(n_agents=2000, mu=0.003, steps=15, seed=3, x0_fraction=0.3, burn_in_fraction=0.5)
-def test_run_cumulative_matches_oracle_trajectory(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction):
-    config = oracle_config(n_agents, mu, steps, seed, x0_fraction, burn_in_fraction)
-    burn_in = config.burn_in
+@given(**ORACLE_CASES)
+@example(n_agents=7, mu=0.0, steps=6, seed=1)
+@example(n_agents=7, mu=1.0, steps=6, seed=2)
+@example(n_agents=50, mu=0.13, steps=6, seed=4)
+@example(n_agents=2000, mu=0.003, steps=15, seed=3)
+def test_run_cumulative_matches_oracle_trajectory(n_agents, mu, steps, seed):
+    config = SimConfig(n_agents, mu, steps, seed)
     oracle_rng = np.random.default_rng(seed)
     oracle = init_state(config)
     totals = Counter()
     for period in range(steps + 1):
         if period > 0:
             oracle = step_searchsorted(oracle, config, oracle_rng)
-        if period > burn_in or burn_in == 0:  # period 0 counts iff burn_in == 0
-            totals.update(dict(zip(oracle.product_ids.tolist(), oracle.sales.tolist())))
+        totals.update(dict(zip(oracle.product_ids.tolist(), oracle.sales.tolist())))
     want = np.array([totals[i] for i in range(oracle.next_product_id)], dtype=np.int64)
 
     cumulative, lists = run(config)
     assert cumulative.dtype == want.dtype and np.array_equal(cumulative, want)
-    assert len(cumulative) == oracle.next_product_id <= config.x0 + steps * math.ceil(mu * n_agents)
-    assert int(cumulative.sum()) == n_agents * (steps - burn_in + (burn_in == 0))  # N sales a counted period
-    if burn_in == 0:
-        # period 0 gives each initial product N // x0 >= 1 sales and a newcomer
-        # sells once in its first period, so no entry of cumulative is 0
-        assert cumulative.min() >= 1
+    assert len(cumulative) == oracle.next_product_id <= n_agents + steps * math.ceil(mu * n_agents)
+    assert int(cumulative.sum()) == n_agents * (steps + 1)  # N sales a period, period 0's included
+    # period 0 gives each initial product one sale and a newcomer sells once
+    # in its first period, so no entry of cumulative is 0
+    assert cumulative.min() >= 1
     assert list(top_lists(config, 5)) == lists  # the same draws, no sales summed
 
 
