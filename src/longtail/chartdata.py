@@ -41,16 +41,16 @@ CHART_HEADERS = (_header("top_products.csv"), _header("top_products.csv") + ["sa
 
 
 def write_files(out_dir: Path, files: dict) -> None:
-    """Create out_dir and write each file by its suffix, in order.
+    """Write each file into the existing out_dir by its suffix, in order.
 
     ``files`` maps a file name to its rows for .csv (the header comes from
     ``SCHEMAS``), a payload for .json and text for anything else. Each file
     is written under a temporary name in out_dir, then renamed over its own
     name, so a file holds either its previous bytes or its new ones. When a
-    write fails, its temporary file is removed and the error propagates; the
+    write fails, its temporary file is removed and the error propagates, named
+    by the temporary file if it names none (a buffered write or close); the
     files before it are already in place and those after it are untouched.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         temporary = out_dir / f".{name}.{os.getpid()}.tmp"
         try:
@@ -61,8 +61,10 @@ def write_files(out_dir: Path, files: dict) -> None:
             else:
                 temporary.write_text(content, encoding="utf-8")
             os.replace(temporary, out_dir / name)
-        except BaseException:
+        except BaseException as exc:
             temporary.unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.filename is None:
+                exc.filename = str(temporary)
             raise
 
 

@@ -8,9 +8,10 @@ needed to reproduce the outputs bit-exactly.
 
 Every command and flag is declared once, in COMMANDS; that table builds the
 argument parser, resolves values (built-in default, then --config, then the
-flag), checks required flags and names the flag behind a library field in
-validation errors, and the flag behind a file (--input, --config, or the
---out-dir holding it) in I/O errors.
+flag), checks required flags and names the flag behind an error: for a
+validation error, the flag whose dest or alias field starts the message; for
+an I/O error, the Path-typed flag (--input, --config, --out-dir) whose path
+holds the file. One run at a time writes an --out-dir.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -64,29 +65,43 @@ def _bind(*names: str) -> None:
 
 
 def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
-    """Write the files (see ``chartdata.write_files``), then manifest.json, the completion marker."""
+    """Write the files (see ``chartdata.write_files``), then manifest.json, the completion marker.
+
+    The whole write holds an exclusive flock on out_dir itself, so a second
+    writer of the same directory fails before it touches a file.
+    """
+    import fcntl  # here, not at module level: only a writing command needs it
     import platform  # here, not at module level: only a manifest needs it
     import numpy  # here, not at module level: importing the CLI loads no numpy
 
     computed = time.monotonic()
-    (out_dir / "manifest.json").unlink(missing_ok=True)  # a failed rerun must not look complete
-    write_files(out_dir, files)
-    written = time.monotonic()
-    manifest = {
-        "tool": "longtail",
-        "version": __version__,
-        # trajectories are bit-exact only under the same PCG64 and Generator.integers streams
-        "numpy_version": numpy.__version__,
-        "python_version": platform.python_version(),
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "outputs": sorted(files),
-        "schemas": {name: SCHEMAS[name] for name in sorted(files) if name in SCHEMAS},
-        "duration_seconds": written - started,
-        "timings": {"compute_s": computed - started, "write_s": written - computed},
-    }
-    write_files(out_dir, {"manifest.json": manifest})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lock = os.open(out_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError as exc:
+            raise OSError(exc.errno, "another run is writing this directory", str(out_dir)) from None
+        (out_dir / "manifest.json").unlink(missing_ok=True)  # a failed rerun must not look complete
+        write_files(out_dir, files)
+        written = time.monotonic()
+        manifest = {
+            "tool": "longtail",
+            "version": __version__,
+            # trajectories are bit-exact only under the same PCG64 and Generator.integers streams
+            "numpy_version": numpy.__version__,
+            "python_version": platform.python_version(),
+            "command": command,
+            "config": config,
+            "seed": seed,
+            "outputs": sorted(files),
+            "schemas": {name: SCHEMAS[name] for name in sorted(files) if name in SCHEMAS},
+            "duration_seconds": written - started,
+            "timings": {"compute_s": computed - started, "write_s": written - computed},
+        }
+        write_files(out_dir, {"manifest.json": manifest})
+    finally:
+        os.close(lock)  # releases the lock
 
 
 def _check_out_dir(out_dir: Path) -> None:
@@ -117,11 +132,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 LIST_ITEM = {_int_list: int, _float_list: float}  # element type of each list-typed flag
-JSON_TYPES = {int: int, float: (int, float), str: str}  # JSON values a scalar flag type accepts
+JSON_TYPES = {int: int, float: (int, float), str: str, Path: str}  # JSON values a scalar flag type accepts
 
 
 def _from_json(kind: type, value):
-    """A JSON scalar converted by ``kind`` (int, float or str); ValueError for any other JSON type."""
+    """A JSON scalar converted by ``kind`` (int, float, str or Path); ValueError for any other JSON type."""
     if isinstance(value, bool) or not isinstance(value, JSON_TYPES[kind]):
         raise ValueError
     return kind(value)
@@ -147,7 +162,7 @@ def cmd_simulate(a) -> tuple:
 
 def cmd_fit(a) -> dict:
     _bind("read_sales_column", "fit_alpha")
-    return asdict(fit_alpha(read_sales_column(Path(a.input)), s_min=a.s_min))
+    return asdict(fit_alpha(read_sales_column(a.input), s_min=a.s_min))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +170,7 @@ def cmd_fit(a) -> dict:
 
 def cmd_turnover(a) -> dict:
     _bind("load_chart", "turnover", "calibrate_mu")
-    lists = load_chart(Path(a.input))
+    lists = load_chart(a.input)
     if a.y < 1:
         raise ValueError(f"y must be >= 1, got {a.y}")
     shortest = min(len(l) for l in lists)
@@ -290,8 +305,8 @@ class Flag(NamedTuple):
     type: Callable
     default: object
     help: str
-    # library fields the value feeds; a ValueError whose message starts with
-    # one of them is reported against this flag
+    # library fields the value feeds under another name than its dest; a
+    # ValueError whose message starts with the dest or one of them names this flag
     fields: tuple[str, ...] = ()
 
     @property
@@ -308,45 +323,43 @@ class Command(NamedTuple):
 COMMANDS = {
     "simulate": Command(cmd_simulate, "run one simulation and write its outputs as CSV", (
         Flag("--n", int, REQUIRED, "number of agents", ("n_agents",)),
-        Flag("--mu", float, REQUIRED, "innovation fraction in [0, 1]", ("mu",)),
-        Flag("--steps", int, REQUIRED, "number of periods", ("steps",)),
-        Flag("--seed", int, 0, "RNG seed", ("seed",)),
-        Flag("--y", int, 5, "top-list size to record", ("y",)),
-        Flag("--out-dir", str, REQUIRED, "output directory"),
+        Flag("--mu", float, REQUIRED, "innovation fraction in [0, 1]"),
+        Flag("--steps", int, REQUIRED, "number of periods"),
+        Flag("--seed", int, 0, "RNG seed"),
+        Flag("--y", int, 5, "top-list size to record"),
+        Flag("--out-dir", Path, REQUIRED, "output directory"),
     )),
     "fit": Command(cmd_fit, "fit a power-law exponent to a sales CSV", (
-        Flag("--input", str, REQUIRED, "CSV with a 'sales' or 'cumulative_sales' column"),
-        Flag("--s-min", float, 1, "smallest sales value included", ("s_min",)),
+        Flag("--input", Path, REQUIRED, "CSV with a 'sales' or 'cumulative_sales' column"),
+        Flag("--s-min", float, 1, "smallest sales value included"),
     )),
     "turnover": Command(cmd_turnover, "turnover statistics and implied mu for a chart file", (
-        Flag("--input", str, REQUIRED, "chart CSV: period,product_id[,sales]"),
-        Flag("--y", int, REQUIRED, "list size to analyze", ("y",)),
+        Flag("--input", Path, REQUIRED, "chart CSV: period,product_id[,sales]"),
+        Flag("--y", int, REQUIRED, "list size to analyze"),
     )),
     "optimize": Command(cmd_optimize, "optimal shelf size for given profit/cost parameters", (
         Flag("--A", float, REQUIRED, "profit per item", ("profit_per_item",)),
         Flag("--B", float, REQUIRED, "cost per inventory change", ("turnover_cost",)),
-        Flag("--mu", float, REQUIRED, "innovation fraction in (0, 1]", ("mu",)),
-        Flag("--alpha", float, 3.5, "sales power-law exponent", ("alpha",)),
-        Flag("--y-max", int, 1_000_000, "search bound", ("y_max",)),
+        Flag("--mu", float, REQUIRED, "innovation fraction in (0, 1]"),
+        Flag("--alpha", float, 3.5, "sales power-law exponent"),
+        Flag("--y-max", int, 1_000_000, "search bound"),
     )),
     "reproduce": Command(cmd_reproduce, "run a bundled experiment preset and render CSV + SVG", (
-        Flag("--figure", str, REQUIRED, f"experiment preset: {', '.join(PRESETS)}", ("figure",)),
-        Flag("--out-dir", str, REQUIRED, "output directory"),
+        Flag("--figure", str, REQUIRED, f"experiment preset: {', '.join(PRESETS)}"),
+        Flag("--out-dir", Path, REQUIRED, "output directory"),
         Flag("--seed", int, 0, "master seed", ("master_seed",)),
-        Flag("--steps", int, 1000, "steps per run for 2left and 2right", ("steps",)),
+        Flag("--steps", int, 1000, "steps per run for 2left and 2right"),
         Flag("--runs", int, 10, "replicates per 2left target or 2right cell", ("replicates", "runs_per_cell")),
-        Flag("--y", int, 5, "top-list size for 2right", ("y",)),
+        Flag("--y", int, 5, "top-list size for 2right"),
         Flag("--n", int, 500, "agent count for 2left", ("n_agents",)),
-        Flag("--n-grid", _int_list, DEFAULT_N_GRID, "comma-separated N grid for 2right", ("n_grid",)),
+        Flag("--n-grid", _int_list, DEFAULT_N_GRID, "comma-separated N grid for 2right"),
         Flag("--mu-grid", _float_list, None,
              "comma-separated mu grid (default: six values from 0.002 to 0.05 for 2right,"
-             " 25 log-spaced values in [1e-4, 0.5] for 3)", ("mu_grid", "mu")),
-        Flag("--targets", _float_list, DEFAULT_NMU_TARGETS, "comma-separated N*mu targets for 2left", ("targets",)),
-        Flag("--ab-ratios", _float_list, DEFAULT_AB_RATIOS, "comma-separated A/B ratios for 3",
-             ("ab_ratios", "profit_per_item")),
-        Flag("--alpha", float, 3.5, "exponent of the shelf-size curves for 3", ("alpha",)),
-        Flag("--workers", int, 1, "worker processes for the 2right sweep (at most one per cell and CPU)",
-             ("workers",)),
+             " 25 log-spaced values in [1e-4, 0.5] for 3)", ("mu",)),
+        Flag("--targets", _float_list, DEFAULT_NMU_TARGETS, "comma-separated N*mu targets for 2left"),
+        Flag("--ab-ratios", _float_list, DEFAULT_AB_RATIOS, "comma-separated A/B ratios for 3", ("profit_per_item",)),
+        Flag("--alpha", float, 3.5, "exponent of the shelf-size curves for 3"),
+        Flag("--workers", int, 1, "worker processes for the 2right sweep (at most one per cell and CPU)"),
     )),
 }
 
@@ -371,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         # SUPPRESS: the namespace holds only the flags actually passed
         p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", metavar="JSON", help="JSON file supplying values (flags override)")
+        p.add_argument("--config", type=Path, metavar="JSON", help="JSON file supplying values (flags override)")
         for flag in command.flags:
             p.add_argument(flag.name, type=flag.type, dest=flag.dest, help=_help(flag))
     return parser
@@ -385,7 +398,7 @@ class _Object(dict):
         self.pairs = pairs
 
 
-def _read_config(path: str, name: str) -> dict:
+def _read_config(path: Path, name: str) -> dict:
     """Config values by dest, converted as the flag's own text would be; nulls dropped.
 
     A string goes through the flag's type; a non-empty list is accepted only
@@ -441,18 +454,18 @@ def _resolve(name: str, passed: dict) -> argparse.Namespace:
 def _flagged(exc: Exception, name: str, values: dict) -> str:
     """The message of exc, prefixed with the flag behind it, if any.
 
-    An OSError is behind the flag whose value (in ``values``, by dest) is the
-    file it names or a directory above it (--input, --config, --out-dir); any
-    other error is behind the flag of the library field its message starts with.
+    An OSError is behind the file flag (a Path in ``values``, by dest: --input,
+    --config, --out-dir) whose path is the file it names or a directory above
+    it; any other error, behind the flag whose dest or field starts its message.
     """
     message = str(exc)
     if isinstance(exc, OSError):
         failed = Path(exc.filename) if isinstance(exc.filename, str) else None
         flags = ("--" + dest.replace("_", "-") for dest, value in values.items()
-                 if isinstance(value, str) and failed and failed.is_relative_to(value))
+                 if isinstance(value, Path) and failed and failed.is_relative_to(value))
     else:
         field = message.split(" ", 1)[0]
-        flags = (f.name for f in COMMANDS[name].flags if field in f.fields)
+        flags = (f.name for f in COMMANDS[name].flags if field in (f.dest, *f.fields))
     flag = next(flags, None)
     return f"{flag}: {message}" if flag else message
 
@@ -471,10 +484,10 @@ def main(argv=None) -> int:
             _bind("asdict")
             print(json.dumps(COMMANDS[name].handler(a), indent=2, sort_keys=True))
             return 0
-        _check_out_dir(Path(a.out_dir))
+        _check_out_dir(a.out_dir)
         started = time.monotonic()
         _bind("asdict", "SCHEMAS", "write_files")  # before the handler binds numpy: see LAZY
-        _write_outputs(Path(a.out_dir), *COMMANDS[name].handler(a), started)
+        _write_outputs(a.out_dir, *COMMANDS[name].handler(a), started)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {_flagged(exc, name, vars(a))}", file=sys.stderr)

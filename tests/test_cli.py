@@ -1,6 +1,7 @@
 """CLI surface: subcommands, output files, exit codes, determinism."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import csv
 import errno
@@ -12,6 +13,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -101,10 +103,61 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys, monkeypatch):
     # no manifest and no temporary file; the half-written file and the one
     # after it keep the previous run's bytes
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    # it printed the temporary file's path with no flag
+    # the temporary file lies inside --out-dir, so that flag is named
     err = capsys.readouterr().err
     assert err.startswith("error: --out-dir: [Errno 28] "), err
     assert "Traceback" not in err
+
+
+def test_a_write_failure_names_out_dir_not_a_flag_of_the_same_text(tmp_path, capsys, monkeypatch):
+    # --figure 3 matched the out-dir 3/run as a directory above the failed file
+    def no_space(path, header, rows):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(chartdata, "write_csv", no_space)
+    assert run_cli("reproduce", "--figure", "3", "--out-dir", "3/run") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out-dir: [Errno 28] "), err
+
+
+def test_a_buffered_write_that_fills_the_disk_names_out_dir_and_the_file(tmp_path, capsys, monkeypatch):
+    # the OSError of a buffered write or close names no file; it printed no flag
+    write_csv = chartdata.write_csv
+    monkeypatch.setattr(chartdata, "write_csv", lambda path, header, rows: write_csv("/dev/full", header, rows))
+    out = tmp_path / "out"
+    assert run_cli(*SIM_ARGS, "--out-dir", out) == 3
+    assert capsys.readouterr().err == (
+        f"error: --out-dir: [Errno 28] No space left on device: '{out}/.cumulative_sales.csv.{os.getpid()}.tmp'\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_a_second_writer_of_an_out_dir_exits_3_and_leaves_the_first_run_whole(tmp_path, capsys, monkeypatch):
+    # two writers of one directory could leave files of both runs under one manifest
+    write_csv, writing, release = chartdata.write_csv, threading.Event(), threading.Event()
+
+    def held(path, header, rows):
+        if not writing.is_set():  # the first writer's first file waits for the second writer
+            writing.set()
+            assert release.wait(timeout=60)
+        write_csv(path, header, rows)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(chartdata, "write_csv", held)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        first = pool.submit(run_cli, *SIM_ARGS, "--out-dir", "out")
+        assert writing.wait(timeout=60)
+        try:
+            assert run_cli(*SIM_ARGS, "--seed", 1, "--out-dir", "out") == 3
+        finally:
+            release.set()
+        assert first.result(timeout=60) == 0
+    err = capsys.readouterr().err
+    assert err == "error: --out-dir: [Errno 11] another run is writing this directory: 'out'\n", err
+    manifest = json.loads(Path("out/manifest.json").read_text())
+    assert manifest["seed"] == 0
+    assert sorted(p.name for p in Path("out").iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +927,8 @@ CURVE_ARGS = ["reproduce", "--figure", "3"]
         (SIM_ARGS + ["--n", 10**19, "--mu", 0, "--steps", 1], "--n"),
         (SIM_ARGS + ["--n", 2**62, "--mu", 0, "--steps", 1], "--n"),
         (RIGHT_ARGS + ["--n-grid", f"{10**19},{2 * 10**19}", "--mu-grid", "0.01,0.02", "--steps", 1], "--n-grid"),
+        # an A/B ratio the curve cannot scale is named by its profit_per_item field
+        (CURVE_ARGS + ["--ab-ratios", "1e300", "--mu-grid", "1e-300,0.1"], "--ab-ratios"),
     ],
 )
 def test_bad_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
