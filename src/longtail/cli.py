@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import InsufficientDataError, __version__
-from .defaults import DEFAULT_AB_RATIOS, DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAULT_NMU_TARGETS
 
 # Parsing argv needs only the standard modules above, so nothing else is
 # imported at module level. The numeric modules (analysis, experiments,
@@ -320,6 +319,17 @@ class Command(NamedTuple):
     flags: tuple[Flag, ...]
 
 
+# Default sweep protocol: 60 (N, mu) cells, 10 replicates of 1000 steps each,
+# tracking the top-5 list. The mu grid stays above the winner-take-all
+# boundary for most N (mu*N >= 1 once N >= 500 at the smallest mu); pushing
+# mu much lower makes turnover scale with mu*N instead of sqrt(mu).
+DEFAULT_N_GRID = tuple(range(100, 1001, 100))
+DEFAULT_MU_GRID = (0.002, 0.003, 0.005, 0.01, 0.02, 0.05)
+DEFAULT_NMU_TARGETS = (0.5, 1.0, 2.0, 5.0)
+
+# A/B ratios of the shelf-size curves (figure 3), by decades
+DEFAULT_AB_RATIOS = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+
 COMMANDS = {
     "simulate": Command(cmd_simulate, "run one simulation and write its outputs as CSV", (
         Flag("--n", int, REQUIRED, "number of agents", ("n_agents",)),
@@ -341,6 +351,7 @@ COMMANDS = {
         Flag("--A", float, REQUIRED, "profit per item", ("profit_per_item",)),
         Flag("--B", float, REQUIRED, "cost per inventory change", ("turnover_cost",)),
         Flag("--mu", float, REQUIRED, "innovation fraction in (0, 1]"),
+        # the default alpha of 3.5 matches the commonly cited exponent for book sales
         Flag("--alpha", float, 3.5, "sales power-law exponent"),
         Flag("--y-max", int, 1_000_000, "search bound"),
     )),
@@ -358,7 +369,7 @@ COMMANDS = {
              " 25 log-spaced values in [1e-4, 0.5] for 3)", ("mu",)),
         Flag("--targets", _float_list, DEFAULT_NMU_TARGETS, "comma-separated N*mu targets for 2left"),
         Flag("--ab-ratios", _float_list, DEFAULT_AB_RATIOS, "comma-separated A/B ratios for 3", ("profit_per_item",)),
-        Flag("--alpha", float, 3.5, "exponent of the shelf-size curves for 3"),
+        Flag("--alpha", float, 3.5, "exponent of the shelf-size curves for 3"),  # 3.5 as for optimize
         Flag("--workers", int, 1, "worker processes for the 2right sweep (at most one per cell and CPU)"),
     )),
 }

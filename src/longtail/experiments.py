@@ -8,8 +8,9 @@ Two seeded studies (the deterministic shelf-size curves are
 * ``run_turnover_sweep`` — mean top-y turnover over an (N, mu) grid with
   replicates, plus the pooled log-log fit of z_bar against mu.
 
-Both take their protocol as keyword arguments and check it before the first
-run. Every run's seed is a pure function of (master_seed, cell index,
+Both take their protocol as keyword-only arguments with no defaults (the
+``reproduce`` presets in ``cli`` state the paper's) and check it before the
+first run. Every run's seed is a pure function of (master_seed, cell index,
 replicate index), so results are bit-reproducible and cells can be farmed out
 to worker processes without changing the output.
 """
@@ -34,7 +35,6 @@ from .analysis import (
     fit_turnover_exponent,
     turnover,
 )
-from .defaults import DEFAULT_MU_GRID, DEFAULT_N_GRID, DEFAULT_NMU_TARGETS
 from .model import MAX_AGENTS, SimConfig, run, top_lists
 
 
@@ -89,12 +89,7 @@ def _run_cell(
 
 
 def run_turnover_sweep(
-    n_grid: tuple[int, ...] = DEFAULT_N_GRID,
-    mu_grid: tuple[float, ...] = DEFAULT_MU_GRID,
-    runs_per_cell: int = 10,
-    steps: int = 1000,
-    y: int = 5,
-    master_seed: int = 0,
+    *, n_grid: tuple[int, ...], mu_grid: tuple[float, ...], runs_per_cell: int, steps: int, y: int, master_seed: int,
     workers: int = 1,
 ) -> tuple[list[CellResult], LogLogFit]:
     """Mean top-y turnover per (N, mu) cell, in ``product(n_grid, mu_grid)``
@@ -166,11 +161,7 @@ class DistributionResult:
 
 
 def run_sales_distribution(
-    targets: tuple[float, ...] = DEFAULT_NMU_TARGETS,
-    n_agents: int = 500,
-    steps: int = 1000,
-    replicates: int = 10,
-    master_seed: int = 0,
+    *, targets: tuple[float, ...], n_agents: int, steps: int, replicates: int, master_seed: int
 ) -> list[DistributionResult]:
     """Cumulative-sales distributions for a list of N*mu targets.
 

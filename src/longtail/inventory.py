@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_AB_RATIOS
-
 DISAGREEMENT_NOTE = (
     "closed form (exponent 1/(alpha+1)) and exact argmax disagree; "
     "y_bruteforce maximizes the stocking objective by construction"
@@ -172,19 +170,13 @@ class CurvePoint:
     y_floor: int
 
 
-def inventory_curve(
-    alpha: float = 3.5,
-    ab_ratios: tuple[float, ...] = DEFAULT_AB_RATIOS,
-    *,
-    mu_grid: tuple[float, ...],
-) -> list[CurvePoint]:
+def inventory_curve(*, alpha: float, ab_ratios: tuple[float, ...], mu_grid: tuple[float, ...]) -> list[CurvePoint]:
     """Closed-form shelf size over a grid of profit/cost ratios and mu values.
 
-    The default alpha of 3.5 matches the commonly cited exponent for book
-    sales. Only the ratio A/B matters (the closed form is scale-invariant
-    in A and B), so points are evaluated at B = 1. Each point is checked as
-    an ``InventoryParams``, so every mu must lie in (0, 1]; every ratio must
-    be > 0, since a zero ratio stocks nothing and has no place on a log scale.
+    Only the ratio A/B matters (the closed form is scale-invariant in A and
+    B), so points are evaluated at B = 1. Each point is checked as an
+    ``InventoryParams``, so every mu must lie in (0, 1]; every ratio must be
+    > 0, since a zero ratio stocks nothing and has no place on a log scale.
     """
     if not all(ab > 0 for ab in ab_ratios):
         raise ValueError(f"ab_ratios values must be > 0, got {ab_ratios}")

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per shipped claim, printed as PASS/FAIL lines.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. The turnover sweep
-(criteria 2-4) runs the full 60-cell protocol once, one worker process per
-CPU, and is shared between tests: about 12 s on 2 CPUs, of about 15 s in
-total.
+Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 1-4 read the
+files of the shipped presets, run through the CLI: ``2left`` at the target
+N*mu = 2, and ``2right`` at its defaults (60 cells), one worker process per
+CPU, shared between tests: about 12 s on 2 CPUs, of about 15 s in total.
 """
 
+import csv
+import json
 import math
 import os
 import time
@@ -13,20 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from longtail.analysis import calibrate_mu, expected_turnover, fit_alpha, turnover
+from longtail.analysis import LogLogFit, PowerLawFit, calibrate_mu, expected_turnover, fit_alpha, turnover
 from longtail.cli import main as cli_main
-from longtail.experiments import (
-    derive_run_seed,
-    per_mu_stats,
-    run_sales_distribution,
-    run_turnover_sweep,
-)
+from longtail.experiments import CellResult, derive_run_seed, per_mu_stats
 from longtail.inventory import InventoryParams, bruteforce_stock, closed_form_stock
 from longtail.model import SimConfig, run, top_lists
 from oracles import argmax_by_enumeration, power_law_samples
-
-
-SWEEP_Y = 5  # top-list size of the turnover sweep, as in the 2right preset
 
 
 def _criterion(number: int, name: str, passed: bool, detail: str) -> None:
@@ -36,26 +30,37 @@ def _criterion(number: int, name: str, passed: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def sweep():
+def sweep(tmp_path_factory):
+    """(cells, fit, y) of the 2right preset, read back from its files."""
+    out = tmp_path_factory.mktemp("2right")
     started = time.monotonic()
-    cells, fit = run_turnover_sweep(y=SWEEP_Y, workers=os.cpu_count() or 1)
-    print(f"\n[turnover sweep: {len(cells)} cells x 10 runs in {time.monotonic() - started:.1f}s]")
-    return cells, fit
+    assert cli_main(["reproduce", "--figure", "2right", "--workers", os.cpu_count() or 1, "--out-dir", out]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    with (out / "turnover_sweep.csv").open(newline="") as fh:
+        cells = [
+            CellResult(n_agents=int(row["n_agents"]), mu=float(row["mu"]), z_bar=float(row["z_bar"]),
+                       z_std=float(row["z_std"]))
+            for row in csv.DictReader(fh)
+        ]
+    fit = LogLogFit(**json.loads((out / "turnover_fit.json").read_text()))
+    print(f"\n[turnover sweep: {len(cells)} cells x {config['runs_per_cell']} runs in {time.monotonic() - started:.1f}s]")
+    return cells, fit, config["y"]
 
 
 @pytest.fixture(scope="module")
-def pooled_distribution():
+def pooled_distribution(tmp_path_factory):
+    """The exponent fit of the 2left preset at N*mu = 2, read back from exponent_fits.json."""
+    out = tmp_path_factory.mktemp("2left")
     started = time.monotonic()
-    results = run_sales_distribution(
-        targets=(2.0,), n_agents=500, steps=1000, replicates=10, master_seed=0
-    )
+    assert cli_main(["reproduce", "--figure", "2left", "--targets", 2, "--out-dir", out]) == 0
+    (target,) = json.loads((out / "exponent_fits.json").read_text())
     print(f"\n[sales distribution ensemble in {time.monotonic() - started:.1f}s; runtime target < 60s]")
-    return results[0]
+    return PowerLawFit(**target["fit"])
 
 
 def test_01_power_law_emergence(pooled_distribution):
-    fit = pooled_distribution.fit
-    passed = fit is not None and 1.4 <= fit.alpha <= 1.7
+    fit = pooled_distribution
+    passed = 1.4 <= fit.alpha <= 1.7
     _criterion(
         1,
         "power-law emergence",
@@ -65,7 +70,7 @@ def test_01_power_law_emergence(pooled_distribution):
 
 
 def test_02_turnover_innovation_law(sweep):
-    _, fit = sweep
+    _, fit, _ = sweep
     passed = 0.3 <= fit.slope <= 0.5 and fit.r_squared >= 0.9
     _criterion(
         2,
@@ -76,7 +81,7 @@ def test_02_turnover_innovation_law(sweep):
 
 
 def test_03_population_size_independence(sweep):
-    cells, _ = sweep
+    cells, _, _ = sweep
     worst_mu, worst_cov = None, -1.0
     for mu, mean, std in per_mu_stats(cells):
         cov = std / mean
@@ -92,10 +97,10 @@ def test_03_population_size_independence(sweep):
 
 
 def test_04_sqrt_mu_approximation(sweep):
-    cells, _ = sweep
+    cells, _, y = sweep
     worst_cell, worst_ratio = None, 1.0
     for cell in cells:
-        reference = expected_turnover(SWEEP_Y, cell.mu)
+        reference = expected_turnover(y, cell.mu)
         ratio = max(cell.z_bar / reference, reference / cell.z_bar)
         if ratio > worst_ratio:
             worst_cell, worst_ratio = cell, ratio

@@ -478,6 +478,39 @@ def test_reproduce_inventory_curves(tmp_path):
     assert "A/B = 10" in svg and "A/B = 100" in svg
 
 
+class Recorded(ValueError):
+    """Stops a preset once its study has been called."""
+
+
+@pytest.mark.parametrize(
+    "figure,study,protocol",
+    [
+        ("2right", "run_turnover_sweep", {
+            "n_grid": tuple(range(100, 1001, 100)), "mu_grid": (0.002, 0.003, 0.005, 0.01, 0.02, 0.05),
+            "runs_per_cell": 10, "steps": 1000, "y": 5, "master_seed": 0, "workers": 1,
+        }),
+        ("2left", "run_sales_distribution", {
+            "targets": (0.5, 1.0, 2.0, 5.0), "n_agents": 500, "steps": 1000, "replicates": 10, "master_seed": 0,
+        }),
+    ],
+    ids=["2right", "2left"],
+)
+def test_a_seeded_preset_passes_the_paper_protocol_at_its_defaults(tmp_path, monkeypatch, figure, study, protocol):
+    # the flag table is the only statement of these defaults; figure 3's are
+    # pinned by the golden reproduce-3-defaults
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        raise Recorded("recorded")
+
+    monkeypatch.setattr(cli, study, record)
+    out = tmp_path / "out"
+    assert run_cli("reproduce", "--figure", figure, "--out-dir", out) == 2
+    assert calls == [protocol]
+    assert not out.exists()
+
+
 def test_reproduce_inventory_curves_plot_a_subnormal_mu(tmp_path):
     # the lowest decade, 1e-324, underflows as a float; it exited 2 with "math domain error"
     out = tmp_path / "curves"
@@ -626,7 +659,7 @@ print(sorted(m for m in sys.modules if m.startswith('longtail.') or m == 'decima
     assert _probe(script).splitlines() == [
         # argparse refuses --n x; the flag table refuses the missing --mu, --steps and --out-dir
         "[[], [], (0, []), (0, []), (2, []), (2, []), (0, True)]",
-        "['longtail.cli', 'longtail.defaults', 'longtail.inventory']",
+        "['longtail.cli', 'longtail.inventory']",
     ]
 
 

@@ -80,7 +80,8 @@ def test_sweep_pool_is_clamped_to_cells_and_cpus(monkeypatch, workers, cpus, poo
 def test_sweep_names_a_cell_without_turnover(monkeypatch):
     # 2 steps at N = 3 and mu <= 0.003 see no new product: z_bar is 0, which
     # the log-log fit cannot take
-    empty = {"n_grid": (3,), "mu_grid": (0.001, 0.002, 0.003), "runs_per_cell": 1, "steps": 2}
+    empty = {"n_grid": (3,), "mu_grid": (0.001, 0.002, 0.003), "runs_per_cell": 1, "steps": 2, "y": 5,
+             "master_seed": 0}
     # a pool runs every cell and reports the first empty one in grid order
     with pytest.raises(InsufficientDataError, match=r"cell N=3, mu=0\.001 "):
         run_turnover_sweep(**empty, workers=2)
@@ -115,21 +116,21 @@ def test_spec_validation(monkeypatch):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the protocol was checked")
 
-    # without this, a check that stopped firing would run the default 60 x 10 sweep
+    # a check that stopped firing would run a cell, which fails here instead
     monkeypatch.setattr(experiments, "_run_cell", no_cell)
     with pytest.raises(ValueError):
-        run_turnover_sweep(n_grid=(), mu_grid=(0.1,))
+        run_turnover_sweep(**{**SMALL, "n_grid": (), "mu_grid": (0.1,)})
     with pytest.raises(ValueError):
-        run_turnover_sweep(runs_per_cell=0)
+        run_turnover_sweep(**{**SMALL, "runs_per_cell": 0})
     # the pooled fit needs 2 distinct positive mu values and 3 cells
     with pytest.raises(ValueError, match="mu_grid"):
-        run_turnover_sweep(mu_grid=(0.01, 0.01))
+        run_turnover_sweep(**{**SMALL, "mu_grid": (0.01, 0.01)})
     with pytest.raises(ValueError, match="mu_grid"):
-        run_turnover_sweep(mu_grid=(0.0, 0.01))
+        run_turnover_sweep(**{**SMALL, "mu_grid": (0.0, 0.01)})
     with pytest.raises(ValueError, match="cells"):
-        run_turnover_sweep(n_grid=(100,), mu_grid=(0.01, 0.02))
+        run_turnover_sweep(**{**SMALL, "n_grid": (100,), "mu_grid": (0.01, 0.02)})
     with pytest.raises(ValueError, match="n_grid"):
-        run_turnover_sweep(n_grid=(100, 0))
+        run_turnover_sweep(**{**SMALL, "n_grid": (100, 0)})
 
 
 def test_log_binned_histogram_hand_case():
@@ -179,7 +180,7 @@ def test_small_sales_follow_the_borel_law():
 
 def test_sales_distribution_rejects_bad_target():
     with pytest.raises(ValueError, match="target"):
-        run_sales_distribution(targets=(200.0,), n_agents=100, steps=50, replicates=1)
+        run_sales_distribution(targets=(200.0,), n_agents=100, steps=50, replicates=1, master_seed=0)
 
 
 def test_sweep_cell_keeps_no_lists_or_buffer():

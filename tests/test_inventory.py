@@ -294,11 +294,11 @@ def test_curve_monotone_increasing_in_ab_ratio():
 
 def test_curve_rejects_nonpositive_mu():
     with pytest.raises(ValueError, match="mu"):
-        inventory_curve(mu_grid=(0.0, 0.1))
+        inventory_curve(alpha=3.5, ab_ratios=(10.0,), mu_grid=(0.0, 0.1))
 
 
 @pytest.mark.parametrize("ab", [0.0, -10.0, float("nan")])
 def test_curve_rejects_a_nonpositive_ratio(ab):
     # a zero ratio stocks nothing, so its curve had no point on the log-log plot
     with pytest.raises(ValueError, match="^ab_ratios values must be > 0"):
-        inventory_curve(ab_ratios=(10.0, ab), mu_grid=(0.1,))
+        inventory_curve(alpha=3.5, ab_ratios=(10.0, ab), mu_grid=(0.1,))

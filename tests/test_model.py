@@ -19,7 +19,7 @@ def test_init_one_product_per_agent():
     assert state.next_product_id == 4
 
 
-def test_init_cumulative_counts_period_zero_without_burn_in():
+def test_init_cumulative_counts_period_zero():
     # at mu = 1 every agent innovates, so period 1 sells ids 3..5 once each;
     # ids 0..2 sold once each in period 0 only
     cumulative, _ = run(SimConfig(n_agents=3, mu=1.0, steps=1))
