@@ -99,7 +99,9 @@ def run_turnover_sweep(
     process pool of at most one worker per cell and per CPU, and merged back
     in cell order, so the result does not depend on scheduling. The first
     cell in grid order that saw no turnover raises InsufficientDataError
-    naming it; a serial sweep stops there."""
+    naming it; a serial sweep stops there. A worker that ends abruptly (killed,
+    or out of memory) or a pool that cannot start raises OSError naming
+    ``--workers``."""
     # the pooled log-log fit needs at least 3 cells and 2 distinct positive mu
     # values; a repeated value would run (and pool) the same cells twice
     if not n_grid or not mu_grid:
@@ -129,9 +131,13 @@ def run_turnover_sweep(
         # imported here: the pool machinery (multiprocessing, subprocess,
         # socket, logging) costs about 2 MB and 15 ms that serial calls skip
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                cells = list(pool.map(run_cell, tasks))
+        except (BrokenProcessPool, OSError) as exc:  # no cell does I/O, so an OSError is the pool's
+            raise OSError(f"--workers: a worker process ended abruptly or could not start ({exc})") from None
     else:
         cells = [run_cell(t) for t in tasks]
     return cells, fit_turnover_exponent([(c.mu, c.z_bar) for c in cells])

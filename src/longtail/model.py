@@ -9,8 +9,11 @@ turning over while its size stays bounded by N.
 
 Randomness comes from numpy's PCG64 generator seeded from ``SimConfig.seed``;
 the draw order inside a step is fixed (innovator-count coin flip first, then
-one block of copier draws), which makes trajectories bit-reproducible for a
-given (config, seed) on any platform.
+the copier draws), which makes trajectories bit-reproducible for a given
+(config, seed) on any platform. The copiers are drawn in blocks of
+COPIER_BLOCK, which give the same values, and leave the generator in the
+same state, as one call for all of them would: ``Generator.integers``
+buffers nothing from one call to the next.
 
 Copiers are sampled through an owner table of N entries, one per agent,
 holding the product that agent bought in the previous period (products in
@@ -29,6 +32,10 @@ import numpy as np
 # numpy makes no int64 array of 2**60 entries (np.arange a few fewer) and a step holds up to 2N,
 # so below this bound an N too large fails as a MemoryError, which run and the sweep report
 MAX_AGENTS = 2**59
+
+# copier draws per block of a step: each int64 block is 64 KB, below glibc's
+# 128 KB mmap threshold, so a step at large N holds no N-entry draws array
+COPIER_BLOCK = 1 << 13
 
 
 @dataclass
@@ -78,9 +85,13 @@ def rank_top(product_ids: np.ndarray, sales: np.ndarray, y: int) -> np.ndarray:
 
 
 def init_state(config: SimConfig) -> SimState:
-    """Period-0 state: one product per agent, each with one sale."""
+    """Period-0 state: one product per agent, each with one sale.
+
+    ``sales`` is a read-only int64 view of a single 1, so the state holds one
+    N-entry array, its ids.
+    """
     n = config.n_agents
-    return SimState(product_ids=np.arange(n, dtype=np.int64), sales=np.ones(n, dtype=np.int64), next_product_id=n)
+    return SimState(product_ids=np.arange(n, dtype=np.int64), sales=np.broadcast_to(np.int64(1), n), next_product_id=n)
 
 
 def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimState:
@@ -97,6 +108,11 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     totals finds (zero-sale products included), so with the same draws the
     trajectories match that sampler's bit for bit.
 
+    The draws come in blocks of COPIER_BLOCK, each mapped through the owner
+    table and counted before the next is drawn; they equal the draws of one
+    call for all N-k copiers. So a step holds the owner table, the counts
+    and one 64 KB block.
+
     Raises ValueError when the state's sales do not sum to ``n_agents``:
     the owner table must hold exactly one entry per agent.
     """
@@ -110,18 +126,21 @@ def step(state: SimState, config: SimConfig, rng: np.random.Generator) -> SimSta
     if frac > 0.0 and rng.random() < frac:
         k += 1
 
-    # with no copiers (k == n) the empty block draws nothing from rng and
-    # bincount gives int64 zeros, so every product goes extinct
-    draws = rng.integers(0, n, size=n - k)
-    # each draw becomes its product's position; every draw is below owner.size,
-    # so "clip" never acts, and unlike "raise" it does not copy draws first
-    np.take(owner, draws, out=draws, mode="clip")
-    del owner
-    # the k newcomers get the last k bins, each with its one sale
+    # with no copiers (k == n) the empty first block draws nothing from rng
+    # and bincount gives int64 zeros, so every product goes extinct
+    copiers = n - k
     size = state.sales.size
-    counts = np.bincount(draws, minlength=size + k)
-    del draws
-    counts[size:] = 1
+    for lo in range(0, max(copiers, 1), COPIER_BLOCK):
+        block = rng.integers(0, n, size=min(COPIER_BLOCK, copiers - lo))
+        # each draw becomes its product's position; every draw is below owner.size,
+        # so "clip" never acts, and unlike "raise" it does not copy the block first
+        np.take(owner, block, out=block, mode="clip")
+        if lo == 0:  # the k newcomers get the last k bins
+            counts = np.bincount(block, minlength=size + k)
+        else:
+            np.add.at(counts, block, 1)
+    del owner, block
+    counts[size:] = 1  # each newcomer's one sale
 
     survived = counts > 0
     sales = counts[survived]

@@ -7,6 +7,7 @@ CPU, shared between tests: about 12 s on 2 CPUs, of about 15 s in total.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -29,12 +30,23 @@ def _criterion(number: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {number} {name}: {detail}"
 
 
+# SHA-256 of the 2right preset's data files at its defaults (numpy 2.4.6)
+SWEEP_DIGESTS = {
+    "turnover_sweep.csv": "5cc9dc45e5a5eccb8ca89e18ae87e22e40d739cd5c0cef33a3b6cc03b9cbb94f",
+    "turnover_by_mu.csv": "d20ab7f01d3b1cca3b25fb09448a7efd18aa055d1a743d811364b32a9bcdcb76",
+    "turnover_fit.json": "ab23af5c6f102ac5b1052bba3c8ecaa90bafc2eec1121629a44aad8118efcc13",
+}
+
+
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
     """(cells, fit, y) of the 2right preset, read back from its files."""
     out = tmp_path_factory.mktemp("2right")
     started = time.monotonic()
     assert cli_main(["reproduce", "--figure", "2right", "--workers", os.cpu_count() or 1, "--out-dir", out]) == 0
+    # the shipped preset's bytes: no other test runs the sweep at its defaults
+    for name, digest in SWEEP_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
     config = json.loads((out / "manifest.json").read_text())["config"]
     with (out / "turnover_sweep.csv").open(newline="") as fh:
         cells = [

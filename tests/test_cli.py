@@ -8,6 +8,7 @@ import errno
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from longtail import chartdata, cli
+from longtail import chartdata, cli, experiments
 from longtail.analysis import fit_alpha
 from longtail.cli import COMMANDS, main
 from longtail.inventory import InventoryResult
@@ -158,6 +159,28 @@ def test_a_second_writer_of_an_out_dir_exits_3_and_leaves_the_first_run_whole(tm
     manifest = json.loads(Path("out/manifest.json").read_text())
     assert manifest["seed"] == 0
     assert sorted(p.name for p in Path("out").iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
+
+
+RUN_CELL = experiments._run_cell
+
+
+def _cell_that_dies_on_cell_3(task, **kwargs):
+    # module level, so the forked workers unpickle it from the parent's module
+    if task[0] == 3:
+        os._exit(9)
+    return RUN_CELL(task, **kwargs)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the workers must fork the patched module")
+def test_a_worker_that_dies_exits_3_naming_workers(tmp_path, capsys, monkeypatch):
+    # a killed worker (OOM, signal) broke the pool with a BrokenProcessPool traceback
+    monkeypatch.setattr(experiments, "_run_cell", _cell_that_dies_on_cell_3)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)  # a pool even on one CPU, never an in-process cell 3
+    out = tmp_path / "out"
+    assert run_cli(*RIGHT_ARGS, "--mu-grid", "0.05,0.1,0.2", "--workers", 2, "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --workers: a worker process ended abruptly"), err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from longtail.cli import main
+from longtail.model import COPIER_BLOCK
 
 SIMULATE = ["simulate", "--n", "300", "--mu", "0.01", "--steps", "200", "--seed", "7", "--y", "5"]
 CASES = {
@@ -126,3 +127,16 @@ def test_numpy_streams_match_the_recorded_ones():
         f"numpy {np.__version__} draws {first} from default_rng(0): its streams changed, so the digests"
         " above (recorded with numpy 2.4.6) fail for that cause, not for a change in longtail"
     )
+
+
+@pytest.mark.parametrize("high", [500, 100_000, 2**40])
+def test_integers_drawn_in_blocks_equal_one_call(high):
+    # step draws its copiers in blocks of COPIER_BLOCK; its bytes equal those
+    # of one integers call only because the stream keeps no buffer per call,
+    # below 2**32 (32-bit draws) and above it alike
+    whole, blocks = np.random.default_rng(11), np.random.default_rng(11)
+    size = 3 * COPIER_BLOCK + 5
+    drawn = np.concatenate([blocks.integers(0, high, size=min(COPIER_BLOCK, size - lo))
+                            for lo in range(0, size, COPIER_BLOCK)])
+    assert np.array_equal(whole.integers(0, high, size=size), drawn)
+    assert whole.random() == blocks.random()  # and the generators are left in step

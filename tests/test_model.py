@@ -114,6 +114,7 @@ ORACLE_CASES = dict(
 @example(n_agents=7, mu=0.0, steps=6, seed=1, x0_fraction=0.0)
 @example(n_agents=7, mu=1.0, steps=6, seed=2, x0_fraction=1.0)
 @example(n_agents=2000, mu=0.003, steps=15, seed=3, x0_fraction=0.3)
+@example(n_agents=20_000, mu=0.001, steps=3, seed=5, x0_fraction=1.0)  # copiers in 3 blocks
 def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction):
     # step takes any state whose sales sum to N: start from x0 products sharing
     # them as evenly as possible, a few large sellers when x0 is small
@@ -152,6 +153,7 @@ def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction
 @example(n_agents=7, mu=1.0, steps=6, seed=2)
 @example(n_agents=50, mu=0.13, steps=6, seed=4)
 @example(n_agents=2000, mu=0.003, steps=15, seed=3)
+@example(n_agents=20_000, mu=0.001, steps=3, seed=5)  # copiers in 3 blocks
 def test_run_cumulative_matches_oracle_trajectory(n_agents, mu, steps, seed):
     config = SimConfig(n_agents, mu, steps, seed)
     oracle_rng = np.random.default_rng(seed)
@@ -189,10 +191,40 @@ def test_step_memory_is_bounded():
     config = SimConfig(n_agents=100_000, mu=0.001, steps=1)
     rng = np.random.default_rng(0)
     _, peak = traced_peak(lambda: step(init_state(config), config, rng))
-    # init_state holds two 0.8 MB arrays; this kernel measured 3.22 MB. The
-    # searchsorted kernel peaked at 8.0 MB, and a step that also copied the
+    # init_state holds one 0.8 MB array, its ids; this kernel measured 3.20 MB.
+    # The searchsorted kernel peaked at 8.0 MB, and a step that also copied the
     # cumulative array into one a period longer, with a buffered take, at 4.82 MB.
     assert peak < 4_000_000
+
+
+def test_a_late_step_holds_no_draws_array():
+    config = SimConfig(n_agents=100_000, mu=0.001, steps=300)
+    rng = np.random.default_rng(0)
+    state = init_state(config)
+    for _ in range(config.steps):
+        state = step(state, config, rng)
+    _, peak = traced_peak(step, state, config, rng)
+    # the owner table, counts and one 64 KB block of copiers: measured 0.89-0.95 MB.
+    # One draws array of N - k entries, as a single integers call makes, peaked at 1.60 MB.
+    assert peak < 1_200_000
+
+
+def test_step_reads_read_only_states_and_leaves_them_alone():
+    config = SimConfig(n_agents=20_000, mu=0.01, steps=5, seed=4)
+    rng = np.random.default_rng(config.seed)
+    start = init_state(config)
+    assert not start.sales.flags.writeable  # period 0's sales are a view of one 1
+    state = start
+    for _ in range(config.steps):
+        state = step(state, config, rng)
+    for name in ("product_ids", "sales"):
+        getattr(state, name).setflags(write=False)
+    for previous in (start, state):
+        before = [previous.product_ids.copy(), previous.sales.copy()]
+        after = step(previous, config, rng)
+        assert int(after.sales.sum()) == config.n_agents
+        assert np.array_equal(previous.product_ids, before[0])
+        assert np.array_equal(previous.sales, before[1])
 
 
 def test_run_memory_is_bounded():
