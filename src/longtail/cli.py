@@ -66,50 +66,60 @@ def _bind(*names: str) -> None:
 def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
     """Write the files (see ``chartdata.write_files``), then manifest.json, the completion marker.
 
-    The whole write holds an exclusive flock on out_dir itself, so a second
-    writer of the same directory fails before it touches a file.
+    The caller holds out_dir's lock (see ``_lock``) through the whole write.
     """
-    import fcntl  # here, not at module level: only a writing command needs it
     import platform  # here, not at module level: only a manifest needs it
     import numpy  # here, not at module level: importing the CLI loads no numpy
 
     computed = time.monotonic()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)  # a failed rerun must not look complete
+    write_files(out_dir, files)
+    written = time.monotonic()
+    manifest = {
+        "tool": "longtail",
+        "version": __version__,
+        # trajectories are bit-exact only under the same PCG64 and Generator.integers streams
+        "numpy_version": numpy.__version__,
+        "python_version": platform.python_version(),
+        "command": command,
+        "config": config,
+        "seed": seed,
+        "outputs": sorted(files),
+        "schemas": {name: SCHEMAS[name] for name in sorted(files) if name in SCHEMAS},
+        "duration_seconds": written - started,
+        "timings": {"compute_s": computed - started, "write_s": written - computed},
+    }
+    write_files(out_dir, {"manifest.json": manifest})
+
+
+def _lock(out_dir: Path) -> int:
+    """An open descriptor of out_dir holding its exclusive flock, so that one run at a time writes it.
+
+    Closing the descriptor releases the lock. Raises OSError naming out_dir
+    when another run holds it.
+    """
+    import fcntl  # here, not at module level: only a writing command needs it
+
     lock = os.open(out_dir, os.O_RDONLY)
     try:
-        try:
-            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError as exc:
-            raise OSError(exc.errno, "another run is writing this directory", str(out_dir)) from None
-        (out_dir / "manifest.json").unlink(missing_ok=True)  # a failed rerun must not look complete
-        write_files(out_dir, files)
-        written = time.monotonic()
-        manifest = {
-            "tool": "longtail",
-            "version": __version__,
-            # trajectories are bit-exact only under the same PCG64 and Generator.integers streams
-            "numpy_version": numpy.__version__,
-            "python_version": platform.python_version(),
-            "command": command,
-            "config": config,
-            "seed": seed,
-            "outputs": sorted(files),
-            "schemas": {name: SCHEMAS[name] for name in sorted(files) if name in SCHEMAS},
-            "duration_seconds": written - started,
-            "timings": {"compute_s": computed - started, "write_s": written - computed},
-        }
-        write_files(out_dir, {"manifest.json": manifest})
-    finally:
-        os.close(lock)  # releases the lock
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError as exc:
+        os.close(lock)
+        raise OSError(exc.errno, "another run is writing this directory", str(out_dir)) from None
+    return lock
 
 
-def _check_out_dir(out_dir: Path) -> None:
+def _check_out_dir(out_dir: Path) -> int | None:
     """Raise OSError naming --out-dir, before any compute, when out_dir cannot be written.
 
     The nearest existing ancestor of out_dir (out_dir itself if it exists)
     must be a directory in which this process can make a directory: a probe
     directory is made and removed there. os.access is not enough, because for
     root it passes directories, such as those under /proc, where none can be made.
+
+    Returns out_dir's lock (see ``_lock``) when out_dir exists, so that a
+    busy directory is refused before the compute, and None when the run
+    will create it.
     """
     ancestor = out_dir.absolute()
     while not ancestor.exists():
@@ -120,6 +130,7 @@ def _check_out_dir(out_dir: Path) -> None:
         os.rmdir(probe)
     except OSError:
         raise OSError(f"--out-dir: {ancestor} is not a writable directory, so {out_dir} cannot be written") from None
+    return _lock(out_dir) if ancestor == out_dir.absolute() else None
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -495,10 +506,18 @@ def main(argv=None) -> int:
             _bind("asdict")
             print(json.dumps(COMMANDS[name].handler(a), indent=2, sort_keys=True))
             return 0
-        _check_out_dir(a.out_dir)
-        started = time.monotonic()
-        _bind("asdict", "SCHEMAS", "write_files")  # before the handler binds numpy: see LAZY
-        _write_outputs(a.out_dir, *COMMANDS[name].handler(a), started)
+        lock = _check_out_dir(a.out_dir)
+        try:
+            started = time.monotonic()
+            _bind("asdict", "SCHEMAS", "write_files")  # before the handler binds numpy: see LAZY
+            outputs = COMMANDS[name].handler(a)
+            if lock is None:  # two first runs into one new directory meet only here
+                a.out_dir.mkdir(parents=True, exist_ok=True)
+                lock = _lock(a.out_dir)
+            _write_outputs(a.out_dir, *outputs, started)
+        finally:
+            if lock is not None:
+                os.close(lock)  # releases the lock
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {_flagged(exc, name, vars(a))}", file=sys.stderr)

@@ -186,7 +186,9 @@ def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, list[list[int]]]:
     top lists (period 0 included), from the same draws. Identical
     (config, y) inputs reproduce identical results. A caller that reads
     only the top lists, like the turnover sweep, streams ``top_lists``
-    instead and keeps neither the buffer nor the lists.
+    instead and keeps neither the buffer nor the lists. Each state's sales
+    are added to the buffer once the next state exists, so period 0's N
+    writes to the buffer's untouched (calloc) pages do not overlap step 1.
 
     Raises ValueError when numpy cannot allocate the cumulative-sales
     buffer, before the first step, naming ``steps`` when it exceeds the
@@ -206,11 +208,14 @@ def run(config: SimConfig, y: int = 5) -> tuple[np.ndarray, list[list[int]]]:
         larger = config.steps > config.n_agents + per_step
         name, value = ("steps", config.steps) if larger else ("n_agents", config.n_agents)
         raise ValueError(f"{name} {value} need a cumulative-sales buffer numpy cannot allocate: {exc}") from None
-    lists = []
+    lists, pending = [], None
     try:
         for state in trajectory(config):
-            totals[state.product_ids] += state.sales
+            if pending is not None:  # one state late, so that step 1 runs before period 0's writes
+                totals[pending.product_ids] += pending.sales
+            pending = state
             lists.append(rank_top(state.product_ids, state.sales, y).tolist())
+        totals[state.product_ids] += state.sales
     except MemoryError as exc:  # a state or a step holds arrays of up to about 2N entries
         raise ValueError(f"n_agents {config.n_agents} need arrays numpy cannot allocate: {exc}") from None
     return totals[: state.next_product_id], lists

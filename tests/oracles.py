@@ -7,8 +7,9 @@ running sales totals, the enumeration scans the stocking objective value by
 value, the whole-array argmax takes one cumsum over every scanned rank, the
 high-precision sum recomputes the objective with 50-digit arithmetic,
 Ewens' sampling formula gives the expected number of live products, the
-Borel law gives the frequencies of small cumulative sales, and the square
-of a reported fraction is taken in exact rational arithmetic.
+Borel law gives the frequencies of small cumulative sales, the market's
+Markov chain at small N gives the exact mean turnover of a top-y list, and
+the square of a reported fraction is taken in exact rational arithmetic.
 ``traced_peak`` measures the peak of Python-traced memory over one call.
 The CSV writer and readers are the earlier ones built on ``csv.writer``,
 ``csv.DictReader`` and a ``csv.reader`` loop numbering rows by count.
@@ -97,6 +98,57 @@ def borel_pmf(s: int, lam: float) -> float:
     had so far; over many steps they are a small share of the sample.
     """
     return math.exp(-lam * s + (s - 1) * math.log(lam * s) - math.lgamma(s + 1))
+
+
+def _compositions(total: int, parts: int, least: int):
+    """Every tuple of ``parts`` integers, each at least ``least``, summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(least, total - least * (parts - 1) + 1):
+        for rest in _compositions(total - first, parts - 1, least):
+            yield (first, *rest)
+
+
+def exact_turnover(n: int, mu: float, y: int, ties_to_newer: bool = False) -> float:
+    """Exact mean turnover E[z] of the top-y list, from the market's finite Markov chain.
+
+    A state is the live products' sales in age order, a composition of N.
+    A period has k = floor(mu*N) innovators plus one more with probability
+    of the fractional part; the N - k copiers split over the products by a
+    multinomial with probabilities s_i / N. Products that sold nothing drop
+    out, the survivors keep their order, and k newcomers with one sale each
+    are appended. The list ranks sales descending, ties to the older product
+    (to the newer with ``ties_to_newer``), and z counts its entries that
+    were not on the previous period's list. E[z] is the stationary average
+    of E[z | state]; the stationary vector solves pi P = pi, sum(pi) = 1.
+    """
+    def top(sales):
+        return sorted(range(len(sales)), key=lambda i: (-sales[i], -i if ties_to_newer else i))[:y]
+
+    k_low = math.floor(mu * n)
+    frac = mu * n - k_low
+    innovators = [(k_low, 1.0 - frac), (k_low + 1, frac)] if frac > 0 else [(k_low, 1.0)]
+    states = [s for parts in range(1, n + 1) for s in _compositions(n, parts, 1)]
+    index = {s: i for i, s in enumerate(states)}
+    transition = np.zeros((len(states), len(states)))
+    z_given = np.zeros(len(states))
+    for i, sales in enumerate(states):
+        before = set(top(sales))
+        for k, p_k in innovators:
+            for copies in _compositions(n - k, len(sales), 0):
+                p = p_k * math.factorial(n - k) * math.prod(
+                    (s / n) ** c / math.factorial(c) for s, c in zip(sales, copies))
+                survivors = [j for j, c in enumerate(copies) if c]
+                after = tuple(copies[j] for j in survivors) + (1,) * k
+                transition[i, index[after]] += p
+                # entry m of the next state is the old product survivors[m], or a newcomer
+                z_given[i] += p * sum(m >= len(survivors) or survivors[m] not in before for m in top(after))
+    system = transition.T - np.eye(len(states))
+    system[-1] = 1.0
+    pi = np.linalg.solve(system, np.eye(len(states))[-1])
+    return float(pi @ z_given)
 
 
 def square_of_repr(f: float) -> float:

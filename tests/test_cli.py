@@ -161,6 +161,39 @@ def test_a_second_writer_of_an_out_dir_exits_3_and_leaves_the_first_run_whole(tm
     assert sorted(p.name for p in Path("out").iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
 
 
+def test_a_second_writer_of_an_existing_out_dir_exits_3_before_its_compute(tmp_path, capsys, monkeypatch):
+    # an existing directory is locked before the handler runs, so a busy one
+    # no longer costs the second run its whole compute
+    handler, computing, release, seeds = COMMANDS["simulate"].handler, threading.Event(), threading.Event(), []
+
+    def held(a):
+        seeds.append(a.seed)
+        if len(seeds) == 1:  # the first writer's compute waits for the second writer
+            computing.set()
+            assert release.wait(timeout=60)
+        return handler(a)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(COMMANDS, "simulate", COMMANDS["simulate"]._replace(handler=held))
+    Path("out").mkdir()
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        first = pool.submit(run_cli, *SIM_ARGS, "--out-dir", "out")
+        assert computing.wait(timeout=60)
+        try:
+            assert run_cli(*SIM_ARGS, "--seed", 1, "--out-dir", "out") == 3
+        finally:
+            release.set()
+        assert first.result(timeout=60) == 0
+    assert seeds == [0]  # the second writer's handler never ran
+    err = capsys.readouterr().err
+    assert err == "error: --out-dir: [Errno 11] another run is writing this directory: 'out'\n", err
+    assert json.loads(Path("out/manifest.json").read_text())["seed"] == 0
+    # a compute that fails releases the lock too
+    assert run_cli(*SIM_ARGS, "--mu", 2, "--seed", 2, "--out-dir", "out") == 2
+    assert run_cli(*SIM_ARGS, "--seed", 3, "--out-dir", "out") == 0
+    assert seeds == [0, 2, 3]
+
+
 RUN_CELL = experiments._run_cell
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from longtail.analysis import turnover
 from longtail.model import SimConfig, SimState, init_state, rank_top, run, step, top_lists
-from oracles import ewens_expected_types, step_searchsorted, traced_peak
+from oracles import ewens_expected_types, exact_turnover, step_searchsorted, traced_peak
 
 
 def test_init_one_product_per_agent():
@@ -154,6 +155,7 @@ def test_step_matches_searchsorted_oracle(n_agents, mu, steps, seed, x0_fraction
 @example(n_agents=50, mu=0.13, steps=6, seed=4)
 @example(n_agents=2000, mu=0.003, steps=15, seed=3)
 @example(n_agents=20_000, mu=0.001, steps=3, seed=5)  # copiers in 3 blocks
+@example(n_agents=20_000, mu=0.001, steps=1, seed=6)  # both deferred adds after the only step
 def test_run_cumulative_matches_oracle_trajectory(n_agents, mu, steps, seed):
     config = SimConfig(n_agents, mu, steps, seed)
     oracle_rng = np.random.default_rng(seed)
@@ -233,6 +235,20 @@ def test_run_memory_is_bounded():
     # the 1.04 MB cumulative buffer plus one step: measured 4.26 MB. A run
     # whose every step rebuilt the cumulative array peaked at 4.82 MB.
     assert peak < 4_600_000
+
+
+@pytest.mark.parametrize("n,mu,y,lower_id,newer", [(7, 0.2, 3, 0.82684, 1.53181), (6, 0.1, 2, 0.38896, 0.61379)])
+def test_run_turnover_matches_the_exact_markov_chain(n, mu, y, lower_id, newer):
+    # At N <= 7 the market is a finite Markov chain (oracles.exact_turnover),
+    # so E[z] is exact; either tie rule is 17-98% away from the other, so the
+    # chain pins the ranking of run's lists, ties to the lower id included.
+    # The band, 4 standard errors of the mean of 20 per-seed z_bar, was
+    # fixed before the simulator was run against it.
+    assert exact_turnover(n, mu, y) == pytest.approx(lower_id, abs=5e-6)
+    assert exact_turnover(n, mu, y, ties_to_newer=True) == pytest.approx(newer, abs=5e-6)
+    z_bars = [turnover(run(SimConfig(n, mu, 1000, seed), y)[1]).z_bar for seed in range(20)]
+    se = np.std(z_bars, ddof=1) / math.sqrt(len(z_bars))
+    assert abs(np.mean(z_bars) - lower_id) < 4 * se
 
 
 def test_live_products_match_ewens_from_above():
