@@ -8,10 +8,11 @@ needed to reproduce the outputs bit-exactly.
 
 Every command and flag is declared once, in COMMANDS; that table builds the
 argument parser, resolves values (built-in default, then --config, then the
-flag), checks required flags and names the flag behind an error: for a
-validation error, the flag whose dest or alias field starts the message; for
-an I/O error, the Path-typed flag (--input, --config, --out-dir) whose path
-holds the file. One run at a time writes an --out-dir.
+flag), checks required flags and that the reproduce preset reads every flag
+given, and names the flag behind an error: for a validation error, the flag
+whose dest or alias field starts the message; for an I/O error, the
+Path-typed flag (--input, --config, --out-dir) whose path holds the file.
+One run at a time writes an --out-dir.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -39,9 +40,13 @@ from . import InsufficientDataError, __version__
 # I/O names, then the handler its plotting and numeric names (_bind), in that
 # order. So --help, --version and rejected argv load none of them, and a
 # command loads only the modules it calls. __getattr__ resolves the names
-# below and the package's public names, so that a tracer or a test can
-# replace cli.run, cli.load_chart and the like first.
+# below, each from its module, so that a tracer or a test can replace cli.run,
+# cli.load_chart and the like first.
 LAZY = {
+    **dict.fromkeys(("SimConfig", "run"), "longtail.model"),
+    **dict.fromkeys(("calibrate_mu", "expected_turnover", "fit_alpha", "turnover"), "longtail.analysis"),
+    **dict.fromkeys(("per_mu_stats", "run_sales_distribution", "run_turnover_sweep"), "longtail.experiments"),
+    **dict.fromkeys(("InventoryParams", "bruteforce_stock", "inventory_curve"), "longtail.inventory"),
     **dict.fromkeys(("SCHEMAS", "load_chart", "read_sales_column", "write_files"), "longtail.chartdata"),
     **dict.fromkeys(("Series", "loglog_svg"), "longtail.svgplot"),
     "asdict": "dataclasses",
@@ -49,10 +54,9 @@ LAZY = {
 
 
 def __getattr__(name):
-    module = importlib.import_module(LAZY.get(name, __package__))
-    if name not in LAZY and name not in module.__all__:
+    if name not in LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(module, name)
+    value = globals()[name] = getattr(importlib.import_module(LAZY[name]), name)
     return value
 
 
@@ -297,8 +301,6 @@ PRESETS = {"2left": _sales_distribution, "2right": _turnover_sweep, "3": _invent
 
 
 def cmd_reproduce(a) -> tuple:
-    if a.figure not in PRESETS:
-        raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {a.figure!r}")
     _bind("Series", "loglog_svg")  # each preset binds its numeric names
     config, files = PRESETS[a.figure](a)
     return f"reproduce {a.figure}", config, a.seed, files
@@ -318,6 +320,8 @@ class Flag(NamedTuple):
     # library fields the value feeds under another name than its dest; a
     # ValueError whose message starts with the dest or one of them names this flag
     fields: tuple[str, ...] = ()
+    # the reproduce presets that read the flag; () for one that every command reads
+    figures: tuple[str, ...] = ()
 
     @property
     def dest(self) -> str:
@@ -340,6 +344,8 @@ DEFAULT_NMU_TARGETS = (0.5, 1.0, 2.0, 5.0)
 
 # A/B ratios of the shelf-size curves (figure 3), by decades
 DEFAULT_AB_RATIOS = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+
+SEEDED = ("2left", "2right")  # the presets that simulate
 
 COMMANDS = {
     "simulate": Command(cmd_simulate, "run one simulation and write its outputs as CSV", (
@@ -369,28 +375,31 @@ COMMANDS = {
     "reproduce": Command(cmd_reproduce, "run a bundled experiment preset and render CSV + SVG", (
         Flag("--figure", str, REQUIRED, f"experiment preset: {', '.join(PRESETS)}"),
         Flag("--out-dir", Path, REQUIRED, "output directory"),
-        Flag("--seed", int, 0, "master seed", ("master_seed",)),
-        Flag("--steps", int, 1000, "steps per run for 2left and 2right"),
-        Flag("--runs", int, 10, "replicates per 2left target or 2right cell", ("replicates", "runs_per_cell")),
-        Flag("--y", int, 5, "top-list size for 2right"),
-        Flag("--n", int, 500, "agent count for 2left", ("n_agents",)),
-        Flag("--n-grid", _int_list, DEFAULT_N_GRID, "comma-separated N grid for 2right"),
+        Flag("--seed", int, 0, "master seed", ("master_seed",), figures=SEEDED),
+        Flag("--steps", int, 1000, "steps per run", figures=SEEDED),
+        Flag("--runs", int, 10, "replicates per 2left target or 2right cell", ("replicates", "runs_per_cell"),
+             figures=SEEDED),
+        Flag("--y", int, 5, "top-list size", figures=("2right",)),
+        Flag("--n", int, 500, "agent count", ("n_agents",), figures=("2left",)),
+        Flag("--n-grid", _int_list, DEFAULT_N_GRID, "comma-separated N grid", figures=("2right",)),
         Flag("--mu-grid", _float_list, None,
-             "comma-separated mu grid (default: six values from 0.002 to 0.05 for 2right,"
-             " 25 log-spaced values in [1e-4, 0.5] for 3)", ("mu",)),
-        Flag("--targets", _float_list, DEFAULT_NMU_TARGETS, "comma-separated N*mu targets for 2left"),
-        Flag("--ab-ratios", _float_list, DEFAULT_AB_RATIOS, "comma-separated A/B ratios for 3", ("profit_per_item",)),
-        Flag("--alpha", float, 3.5, "exponent of the shelf-size curves for 3"),  # 3.5 as for optimize
-        Flag("--workers", int, 1, "worker processes for the 2right sweep (at most one per cell and CPU)"),
+             "comma-separated mu grid, by default six values from 0.002 to 0.05 for 2right"
+             " and 25 log-spaced values in [1e-4, 0.5] for 3", ("mu",), figures=("2right", "3")),
+        Flag("--targets", _float_list, DEFAULT_NMU_TARGETS, "comma-separated N*mu targets", figures=("2left",)),
+        Flag("--ab-ratios", _float_list, DEFAULT_AB_RATIOS, "comma-separated A/B ratios", ("profit_per_item",),
+             figures=("3",)),
+        Flag("--alpha", float, 3.5, "exponent of the shelf-size curves", figures=("3",)),  # 3.5 as for optimize
+        Flag("--workers", int, 1, "worker processes for the sweep (at most one per cell and CPU)", figures=("2right",)),
     )),
 }
 
 
 def _help(flag: Flag) -> str:
-    if flag.default is REQUIRED or flag.default is None:
-        return flag.help
-    default = ",".join(map(str, flag.default)) if isinstance(flag.default, tuple) else flag.default
-    return f"{flag.help} (default {default})"
+    notes = [f"read by --figure {', '.join(flag.figures)}"] if flag.figures else []
+    if flag.default is not REQUIRED and flag.default is not None:
+        default = ",".join(map(str, flag.default)) if isinstance(flag.default, tuple) else flag.default
+        notes.append(f"default {default}")
+    return f"{flag.help} ({'; '.join(notes)})" if notes else flag.help
 
 
 # one parser per process: parsing keeps no state in it, and each rebuild left
@@ -461,15 +470,26 @@ def _read_config(path: Path, name: str) -> dict:
 
 
 def _resolve(name: str, passed: dict) -> argparse.Namespace:
-    """Every flag's value: built-in default, then --config, then the flag."""
+    """Every flag's value: built-in default, then --config, then the flag.
+
+    A reproduce flag that the chosen preset does not read is refused, passed
+    or set in --config, so that no value is silently ignored.
+    """
     flags = COMMANDS[name].flags
-    values = {flag.dest: flag.default for flag in flags}
-    if "config" in passed:
-        values.update(_read_config(passed.pop("config"), name))
-    values.update(passed)
+    given = _read_config(passed.pop("config"), name) if "config" in passed else {}
+    given.update(passed)
+    values = {flag.dest: flag.default for flag in flags} | given
     missing = [flag.name for flag in flags if values[flag.dest] is REQUIRED]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} (pass the flag or set it in --config)")
+    figure = values.get("figure")
+    if figure is not None:
+        if figure not in PRESETS:
+            raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {figure!r}")
+        unread = [flag.name for flag in flags if flag.figures and figure not in flag.figures and flag.dest in given]
+        if unread:
+            reads = [flag.name for flag in flags if figure in flag.figures]
+            raise ValueError(f"{', '.join(unread)}: not read by --figure {figure}, which reads {' '.join(reads)}")
     return argparse.Namespace(**values)
 
 

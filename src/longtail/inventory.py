@@ -33,7 +33,7 @@ DISAGREEMENT_NOTE = (
 )
 
 # ranks per block of the brute-force scan: each float64 array of a block is
-# 64 KB, below glibc's 128 KB mmap threshold and within L2 cache
+# 64 KB, within L2 cache, and no array spans the whole scan
 SCAN_BLOCK = 1 << 13
 
 # the most ranks one brute-force scan may cover: at 9-10 ns a rank

@@ -33,8 +33,9 @@ import numpy as np
 # so below this bound an N too large fails as a MemoryError, which run and the sweep report
 MAX_AGENTS = 2**59
 
-# copier draws per block of a step: each int64 block is 64 KB, below glibc's
-# 128 KB mmap threshold, so a step at large N holds no N-entry draws array
+# copier draws per block of a step: each int64 block is 64 KB and is counted
+# before the next is drawn, so a step at large N makes no N-entry draws array
+# (that is the saving, not glibc's mmap threshold, which is dynamic: mallopt(3))
 COPIER_BLOCK = 1 << 13
 
 

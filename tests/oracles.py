@@ -8,8 +8,10 @@ value, the whole-array argmax takes one cumsum over every scanned rank, the
 high-precision sum recomputes the objective with 50-digit arithmetic,
 Ewens' sampling formula gives the expected number of live products, the
 Borel law gives the frequencies of small cumulative sales, the market's
-Markov chain at small N gives the exact mean turnover of a top-y list, and
-the square of a reported fraction is taken in exact rational arithmetic.
+Markov chain at small N gives the exact mean turnover of a top-y list and
+the exact law of the state after T steps, the top-y list is also ranked
+with ties to the newer product, and the square of a reported fraction is
+taken in exact rational arithmetic.
 ``traced_peak`` measures the peak of Python-traced memory over one call.
 The CSV writer and readers are the earlier ones built on ``csv.writer``,
 ``csv.DictReader`` and a ``csv.reader`` loop numbering rows by count.
@@ -111,18 +113,17 @@ def _compositions(total: int, parts: int, least: int):
             yield (first, *rest)
 
 
-def exact_turnover(n: int, mu: float, y: int, ties_to_newer: bool = False) -> float:
-    """Exact mean turnover E[z] of the top-y list, from the market's finite Markov chain.
+def _chain(n: int, mu: float, y: int, ties_to_newer: bool):
+    """The market's finite Markov chain at N = n: (states, transition matrix, E[z | state]).
 
     A state is the live products' sales in age order, a composition of N.
     A period has k = floor(mu*N) innovators plus one more with probability
     of the fractional part; the N - k copiers split over the products by a
     multinomial with probabilities s_i / N. Products that sold nothing drop
     out, the survivors keep their order, and k newcomers with one sale each
-    are appended. The list ranks sales descending, ties to the older product
-    (to the newer with ``ties_to_newer``), and z counts its entries that
-    were not on the previous period's list. E[z] is the stationary average
-    of E[z | state]; the stationary vector solves pi P = pi, sum(pi) = 1.
+    are appended. The top-y list ranks sales descending, ties to the older
+    product (to the newer with ``ties_to_newer``), and z counts its entries
+    that were not on the previous period's list.
     """
     def top(sales):
         return sorted(range(len(sales)), key=lambda i: (-sales[i], -i if ties_to_newer else i))[:y]
@@ -145,10 +146,37 @@ def exact_turnover(n: int, mu: float, y: int, ties_to_newer: bool = False) -> fl
                 transition[i, index[after]] += p
                 # entry m of the next state is the old product survivors[m], or a newcomer
                 z_given[i] += p * sum(m >= len(survivors) or survivors[m] not in before for m in top(after))
+    return states, transition, z_given
+
+
+def exact_turnover(n: int, mu: float, y: int, ties_to_newer: bool = False) -> float:
+    """Exact mean turnover E[z] of the top-y list (see ``_chain``).
+
+    E[z] is the stationary average of E[z | state]; the stationary vector
+    solves pi P = pi, sum(pi) = 1.
+    """
+    states, transition, z_given = _chain(n, mu, y, ties_to_newer)
     system = transition.T - np.eye(len(states))
     system[-1] = 1.0
     pi = np.linalg.solve(system, np.eye(len(states))[-1])
     return float(pi @ z_given)
+
+
+def exact_state_law(n: int, mu: float, steps: int) -> dict[tuple[int, ...], float]:
+    """Exact probability of each state (sales in age order) after ``steps`` steps.
+
+    The chain (see ``_chain``) starts from one product per agent, so the law
+    is that start vector times P^steps: exact for any number of steps, with
+    no mixing to wait for. Unreachable states have probability 0.
+    """
+    states, transition, _ = _chain(n, mu, 1, False)
+    start = np.eye(len(states))[states.index((1,) * n)]
+    return dict(zip(states, (start @ np.linalg.matrix_power(transition, steps)).tolist()))
+
+
+def rank_top_ties_to_newer(product_ids: np.ndarray, sales: np.ndarray, y: int) -> list[int]:
+    """Ids of the top-y sellers, sales descending, ties broken toward the newer (higher) id."""
+    return product_ids[np.lexsort((-product_ids, -sales))[:y]].tolist()
 
 
 def square_of_repr(f: float) -> float:

@@ -8,6 +8,7 @@ CPU, shared between tests: about 12 s on 2 CPUs, of about 15 s in total.
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -16,12 +17,14 @@ import time
 import numpy as np
 import pytest
 
-from longtail.analysis import LogLogFit, PowerLawFit, calibrate_mu, expected_turnover, fit_alpha, turnover
+from longtail.analysis import (
+    LogLogFit, PowerLawFit, calibrate_mu, expected_turnover, fit_alpha, fit_turnover_exponent, turnover,
+)
 from longtail.cli import main as cli_main
 from longtail.experiments import CellResult, derive_run_seed, per_mu_stats
 from longtail.inventory import InventoryParams, bruteforce_stock, closed_form_stock
-from longtail.model import SimConfig, run, top_lists
-from oracles import argmax_by_enumeration, power_law_samples
+from longtail.model import SimConfig, run, top_lists, trajectory
+from oracles import argmax_by_enumeration, power_law_samples, rank_top_ties_to_newer
 
 
 def _criterion(number: int, name: str, passed: bool, detail: str) -> None:
@@ -216,9 +219,9 @@ def test_09_calibration_round_trip():
 
 def test_10_reproduce_byte_identical(tmp_path):
     cases = [
-        ("3", []),
-        ("2left", ["--targets", "0.5,2", "--n", "100", "--steps", "200", "--runs", "2"]),
-        ("2right", ["--n-grid", "100,200", "--mu-grid", "0.01,0.05", "--runs", "2", "--steps", "100"]),
+        ("3", []),  # figure 3 draws nothing, so it reads no --seed
+        ("2left", ["--seed", "11", "--targets", "0.5,2", "--n", "100", "--steps", "200", "--runs", "2"]),
+        ("2right", ["--seed", "11", "--n-grid", "100,200", "--mu-grid", "0.01,0.05", "--runs", "2", "--steps", "100"]),
     ]
     compared = 0
     for figure, extra in cases:
@@ -226,7 +229,7 @@ def test_10_reproduce_byte_identical(tmp_path):
         for attempt in ("a", "b"):
             out = tmp_path / f"{figure}-{attempt}"
             code = cli_main(
-                ["reproduce", "--figure", figure, "--out-dir", str(out), "--seed", "11", *extra]
+                ["reproduce", "--figure", figure, "--out-dir", str(out), *extra]
             )
             assert code == 0
             dirs.append(out)
@@ -261,4 +264,38 @@ def test_11_turnover_across_list_sizes():
         "z_bar/(y*sqrt(mu)) in [0.5, 2] for y in 1-50",
         passed,
         f"y = {', '.join(map(str, list_sizes))}; " + "; ".join(details),
+    )
+
+
+def test_12_turnover_laws_hold_with_ties_to_the_newer_product():
+    # the bands of criteria 2 and 4, fixed before the first run, on lists
+    # ranked by the other tie rule: each state of model.trajectory ranked by
+    # the oracle, 18 cells (N x the 2right mu grid) x 3 runs of 1000 steps
+    y, runs, steps = 5, 3, 1000
+    cells, details, worst_ratio = [], [], 1.0
+    grid = itertools.product((200, 500, 1000), (0.002, 0.003, 0.005, 0.01, 0.02, 0.05))
+    for cell_index, (n_agents, mu) in enumerate(grid):
+        z_bars, ties, periods = [], 0, 0
+        for replicate in range(runs):
+            lists = []
+            for state in trajectory(SimConfig(n_agents, mu, steps, derive_run_seed(12, cell_index, replicate))):
+                lists.append(rank_top_ties_to_newer(state.product_ids, state.sales, y))
+                ranked = np.sort(state.sales)[::-1]
+                ties += len(ranked) > y and ranked[y - 1] == ranked[y]  # the rule picks the list's last entry
+                periods += 1
+            z_bars.append(turnover(lists).z_bar)
+        cell = CellResult(n_agents=n_agents, mu=mu, z_bar=float(np.mean(z_bars)), z_std=float(np.std(z_bars)))
+        cells.append(cell)
+        reference = expected_turnover(y, mu)
+        worst_ratio = max(worst_ratio, cell.z_bar / reference, reference / cell.z_bar)
+        details.append(f"N={n_agents} mu={mu}: z_bar {cell.z_bar:.3f}, boundary ties {ties / periods:.3f}")
+    fit = fit_turnover_exponent([(c.mu, c.z_bar) for c in cells])
+    print("\n" + "\n".join(details))
+    passed = 0.3 <= fit.slope <= 0.5 and fit.r_squared >= 0.9 and worst_ratio <= 2.0
+    _criterion(
+        12,
+        "criteria 2 and 4 with ties to the newer product",
+        passed,
+        f"slope={fit.slope:.4f} (required [0.3, 0.5]), r2={fit.r_squared:.4f} (required >= 0.9), "
+        f"worst factor {worst_ratio:.3f} from y*sqrt(mu) (required <= 2)",
     )

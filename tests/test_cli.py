@@ -621,6 +621,35 @@ def test_unwritable_out_dir_is_refused_before_the_compute(tmp_path, capsys, monk
     assert blocker.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize(
+    "argv,config,unread",
+    [
+        # each exited 0 and ran the preset as if the flag had not been passed
+        (["--figure", "3", "--workers", 4, "--runs", 7], {}, "--runs, --workers"),
+        (["--figure", "2left", "--n-grid", "1,2", "--y", 9], {}, "--y, --n-grid"),
+        (["--figure", "2right", "--n", 1000], {}, "--n"),
+        (["--figure", "3", "--seed", 4], {}, "--seed"),
+        (["--figure", "3"], {"workers": 2}, "--workers"),
+        (["--figure", "2right"], {"targets": [1, 2], "steps": 5}, "--targets"),
+        ([], {"figure": "2left", "alpha": 2.5, "ab-ratios": "10"}, "--ab-ratios, --alpha"),
+    ],
+)
+def test_a_flag_the_preset_does_not_read_exits_2_before_the_out_dir_and_the_compute(
+    tmp_path, capsys, monkeypatch, argv, config, unread
+):
+    def untouched(*args, **kwargs):
+        raise AssertionError("--out-dir or the compute was reached")
+
+    for name in ("run_turnover_sweep", "run_sales_distribution", "inventory_curve"):
+        monkeypatch.setattr(cli, name, untouched)
+    monkeypatch.setattr(cli, "_check_out_dir", untouched)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("reproduce", *argv, "--config", path, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {unread}: not read by --figure "), err
+
+
 def test_out_dir_where_no_directory_can_be_made_is_refused_before_the_compute(tmp_path, capsys, monkeypatch):
     # os.access granted root every directory, so the run went ahead and only its write failed
     mkdir = os.mkdir
@@ -1096,8 +1125,9 @@ BOUNDED = {"--n": 200, "--steps": 20, "--y-max": 10**4, "--runs": 2, "--n-grid":
 LIST_FLAGS = ("--n-grid", "--mu-grid", "--targets", "--ab-ratios")
 # no decimal digit in free text, so no string parses as a large bounded value
 NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
-# reproduce's work-sizing flags, passed first with these small values unless
-# the drawn --config sets them; a drawn flag value follows and wins
+# reproduce's work-sizing flags, each passed first with this small value when
+# the call's figure reads it and the drawn --config does not set it; a drawn
+# flag value follows and wins
 REPRODUCE_SIZES = {
     "--steps": "5", "--runs": "1", "--n": "50", "--n-grid": "20,40",
     "--mu-grid": "0.05,0.1", "--targets": "1,2", "--ab-ratios": "10,100",
@@ -1155,8 +1185,11 @@ def fuzz_calls(draw):
         keys = draw(st.lists(st.sampled_from(flags), unique=True))
         config = {key.lstrip("-"): draw(_any_json(key)) for key in keys}
     if name == "reproduce":
-        sizes = [f for flag, value in REPRODUCE_SIZES.items() if flag.lstrip("-") not in (config or {})
-                 for f in (flag, value)]
+        # the figure that the call resolves to: the last --figure passed, else the config's
+        figure = dict(zip(argv[1::2], argv[2::2])).get("--figure", (config or {}).get("figure"))
+        reads = {f.name for f in COMMANDS[name].flags if figure in f.figures}
+        sizes = [f for flag, value in REPRODUCE_SIZES.items()
+                 if flag in reads and flag.lstrip("-") not in (config or {}) for f in (flag, value)]
         argv = argv[:1] + sizes + argv[1:]
     return argv, config, draw(st.sampled_from(["sales.csv", "chart.csv", "missing.csv"]))
 

@@ -1,16 +1,17 @@
 """Core simulator: initialization, stepping rules, invariants, determinism."""
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longtail.analysis import turnover
-from longtail.model import SimConfig, SimState, init_state, rank_top, run, step, top_lists
-from oracles import ewens_expected_types, exact_turnover, step_searchsorted, traced_peak
+from longtail.model import SimConfig, SimState, init_state, rank_top, run, step, top_lists, trajectory
+from oracles import ewens_expected_types, exact_state_law, exact_turnover, step_searchsorted, traced_peak
 
 
 def test_init_one_product_per_agent():
@@ -249,6 +250,26 @@ def test_run_turnover_matches_the_exact_markov_chain(n, mu, y, lower_id, newer):
     z_bars = [turnover(run(SimConfig(n, mu, 1000, seed), y)[1]).z_bar for seed in range(20)]
     se = np.std(z_bars, ddof=1) / math.sqrt(len(z_bars))
     assert abs(np.mean(z_bars) - lower_id) < 4 * se
+
+
+def test_last_states_match_the_exact_t_step_law_of_the_chain():
+    # The chain gives the exact law of the state after T steps from one
+    # product per agent (start vector x P^T), so the last states of
+    # independent runs need no mixing. At (5, 0.3) every period has an
+    # innovator, so the youngest product holds one sale: 8 of the 16
+    # compositions are reachable, and the test has 7 degrees of freedom.
+    # Seeds, T and the rejection level p < 0.001 were fixed before the first run.
+    n, mu, steps, runs = 5, 0.3, 10, 2000
+    law = {state: p for state, p in exact_state_law(n, mu, steps).items() if p > 0}
+    assert len(law) == 8
+    counts = Counter(
+        tuple(deque(trajectory(SimConfig(n, mu, steps, seed)), maxlen=1)[0].sales.tolist()) for seed in range(runs)
+    )
+    assert set(counts) <= set(law)
+    chi2 = sum((counts[state] - runs * p) ** 2 / (runs * p) for state, p in law.items())
+    p_value = float(mpmath.gammainc((len(law) - 1) / 2, chi2 / 2, regularized=True))  # the upper tail
+    print(f"chi2 {chi2:.2f} on {len(law) - 1} df, p = {p_value:.3f}")
+    assert p_value > 0.001
 
 
 def test_live_products_match_ewens_from_above():

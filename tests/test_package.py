@@ -1,8 +1,10 @@
-"""The package's export list and the README's library example and CLI lines."""
+"""The CLI's lazy-import table, and the README's library example and CLI lines."""
 
+import ast
+import importlib
+import importlib.util
 import re
 import shlex
-import types
 from pathlib import Path
 
 import pytest
@@ -10,24 +12,34 @@ import pytest
 import longtail
 from longtail import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+MODULES = ("analysis", "chartdata", "cli", "experiments", "inventory", "model", "svgplot")
 
 
-def test_all_lists_every_public_name():
-    namespace = {}
-    exec("from longtail import *", namespace)  # resolves every lazily imported name
-    assert set(longtail.__all__) <= set(namespace)
-    public = {
-        name
-        for name, value in vars(longtail).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+def test_every_name_the_cli_binds_is_lazy_and_the_package_binds_none():
+    # cli.LAZY is the one table of lazily imported names: each _bind argument
+    # and each name perfbench's tracer wraps on cli resolves through it
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    bound = {
+        arg.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_bind"
+        for arg in node.args
     }
-    assert set(longtail.__all__) == public
-    assert set(longtail.__all__) <= set(dir(longtail))
-    assert longtail.run is longtail.model.run
-    assert longtail.analysis.InsufficientDataError is longtail.InsufficientDataError  # defined without numpy
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {attr for sites in tracing.SITES.values() for module, attr in sites if module == "cli"} - {"main"}
+    assert traced <= bound == set(cli.LAZY)
+    for name, module in cli.LAZY.items():
+        assert getattr(cli, name) is getattr(importlib.import_module(module), name)
     with pytest.raises(AttributeError, match="no_such_name"):
-        longtail.no_such_name
+        cli.no_such_name
+    # the package re-exports nothing: its names are the version and the error class
+    assert not set(cli.LAZY) & set(vars(longtail))
+    assert {name for name in vars(longtail) if not name.startswith("_")} <= {"InsufficientDataError", *MODULES}
+    assert longtail.analysis.InsufficientDataError is longtail.InsufficientDataError  # defined without numpy
 
 
 def test_readme_library_example_runs():
