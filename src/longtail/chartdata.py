@@ -4,9 +4,10 @@
 comma-separated word after the colon is the header written. ``write_files``
 writes every file of an output directory: CSV rows, a JSON payload or text.
 
-Every file is read and written as UTF-8, whatever the locale. A CSV file
-has a header row and CRLF line ends; floats are written with 17 significant
-digits, so values round-trip exactly. A chart file has header
+Every file is read and written as UTF-8, whatever the locale; a reader skips
+a leading byte-order mark (Excel's "CSV UTF-8"). A CSV file has a header row
+and CRLF line ends; floats are written with 17 significant digits, so values
+round-trip exactly. A chart file has header
 ``period,product_id[,sales]`` and one row per item per period in rank order,
 with consecutive periods and no repeated (period, product_id) pair. Errors
 name ``<path>:<line>``, where the bad record ends, or ``<path>`` for bad bytes.
@@ -80,7 +81,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 @contextmanager
 def _csv_reader(path: Path):
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader

@@ -116,17 +116,18 @@ def _lock(out_dir: Path) -> int:
 def _check_out_dir(out_dir: Path) -> int | None:
     """Raise OSError naming --out-dir, before any compute, when out_dir cannot be written.
 
-    The nearest existing ancestor of out_dir (out_dir itself if it exists)
-    must be a directory in which this process can make a directory: a probe
-    directory is made and removed there. os.access is not enough, because for
-    root it passes directories, such as those under /proc, where none can be made.
+    The nearest existing ancestor of out_dir (out_dir itself if it exists; a
+    dangling link counts) must be a directory in which this process can make
+    a directory: a probe directory is made and removed there. os.access is not
+    enough, because for root it passes directories, such as those under /proc,
+    where none can be made.
 
     Returns out_dir's lock (see ``_lock``) when out_dir exists, so that a
     busy directory is refused before the compute, and None when the run
     will create it.
     """
     ancestor = out_dir.absolute()
-    while not ancestor.exists():
+    while not os.path.lexists(ancestor):  # not exists(), which follows a link
         ancestor = ancestor.parent
     probe = ancestor / f".longtail-probe-{os.getpid()}"
     try:
@@ -143,17 +144,6 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
-
-
-LIST_ITEM = {_int_list: int, _float_list: float}  # element type of each list-typed flag
-JSON_TYPES = {int: int, float: (int, float), str: str, Path: str}  # JSON values a scalar flag type accepts
-
-
-def _from_json(kind: type, value):
-    """A JSON scalar converted by ``kind`` (int, float, str or Path); ValueError for any other JSON type."""
-    if isinstance(value, bool) or not isinstance(value, JSON_TYPES[kind]):
-        raise ValueError
-    return kind(value)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +420,15 @@ class _Object(dict):
 
 
 def _read_config(path: Path, name: str) -> dict:
-    """Config values by dest, converted as the flag's own text would be; nulls dropped.
+    """Config values by dest, each read by its flag's own parser; nulls dropped.
 
-    A string goes through the flag's type; a non-empty list is accepted only
-    by (and required for any non-string value of) a list-typed flag; a number
-    only by an int flag when whole, or by a float flag; a boolean by no flag.
+    A string is the flag's text. Any other value is written as its JSON text (a
+    list's items joined by commas), which the flag must read back equal to the
+    value, a list as a tuple. So 1 sets a float flag to 1.0, NaN and 2**53 + 1
+    set none, and a boolean sets no flag.
     A flag set by two keys (``n`` twice, or ``out-dir`` and ``out_dir``) is refused.
     """
-    with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259), whatever the locale
+    with open(path, encoding="utf-8-sig") as fh:  # UTF-8 (RFC 8259), whatever the locale; a leading BOM is skipped
         try:
             data = json.load(fh, object_pairs_hook=_Object)
         except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer past the digit limit
@@ -458,13 +449,12 @@ def _read_config(path: Path, name: str) -> dict:
         try:
             if isinstance(value, str):
                 values[flag.dest] = flag.type(value)
-            elif flag.type in LIST_ITEM:
-                if not isinstance(value, list) or not value:
-                    raise ValueError
-                values[flag.dest] = tuple(_from_json(LIST_ITEM[flag.type], item) for item in value)
             else:
-                values[flag.dest] = _from_json(flag.type, value)
-        except (ValueError, OverflowError):
+                is_list = isinstance(value, list)
+                values[flag.dest] = flag.type(",".join(map(json.dumps, value if is_list else [value])))
+                if values[flag.dest] != (tuple(value) if is_list else value):
+                    raise ValueError
+        except ValueError:
             raise ValueError(f"{flag.name}: invalid value {json.dumps(value)} in --config") from None
     return values
 

@@ -8,6 +8,7 @@ import errno
 import importlib.util
 import io
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -194,6 +195,27 @@ def test_a_second_writer_of_an_existing_out_dir_exits_3_before_its_compute(tmp_p
     assert seeds == [0, 2, 3]
 
 
+@pytest.mark.parametrize("out_dir", ["out", "out/sub"])
+def test_a_dangling_link_out_dir_exits_3_before_its_compute(tmp_path, capsys, monkeypatch, out_dir):
+    # Path.exists() followed the link, so the probe ran in tmp_path and passed;
+    # the handler ran, then the mkdir of the link failed with "File exists"
+    handler, calls = COMMANDS["simulate"].handler, []
+
+    def counted(a):
+        calls.append(a)
+        return handler(a)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(COMMANDS, "simulate", COMMANDS["simulate"]._replace(handler=counted))
+    Path("out").symlink_to("nowhere/deeper")
+    assert run_cli(*SIM_ARGS, "--out-dir", out_dir) == 3
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"error: --out-dir: {tmp_path / 'out'} is not a writable directory, so {out_dir} cannot be written\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
 RUN_CELL = experiments._run_cell
 
 
@@ -261,6 +283,28 @@ def test_fit_reads_utf8_under_the_c_locale(tmp_path, capsys):
     script = f"import sys; from longtail.cli import main; sys.exit(main(['fit', '--input', {str(path)!r}]))"
     c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     assert _probe(script, **c_locale) == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,name,content",
+    [
+        # each exited 2: "no 'sales' or 'cumulative_sales' column (found: \ufeffsales)",
+        # a header error, and "Unexpected UTF-8 BOM"
+        (["fit", "--input"], "sales.csv", "sales\r\n1\r\n2\r\n3\r\n5\r\n8\r\n"),
+        (["turnover", "--y", 2, "--input"], "chart.csv", "period,product_id\r\n0,1\r\n0,2\r\n1,3\r\n1,2\r\n"),
+        (["optimize", "--config"], "config.json", '{"A": 10, "B": 1, "mu": 0.25}'),
+    ],
+    ids=["fit", "turnover", "config"],
+)
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, argv, name, content):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    assert run_cli(*argv, path) == 0
+    plain = capsys.readouterr().out
+    path.write_text(content, encoding="utf-8-sig")
+    assert run_cli(*argv, path) == 0
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize(
@@ -783,25 +827,23 @@ print([m for m in {first!r} if order.index(m) > order.index('numpy')])
     assert _probe(script) == "[]\n"
 
 
-# every name perfbench's tracer wraps on cli, and the module that defines it
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+# every name but main that perfbench's tracer wraps on cli, and its module in cli.LAZY (None if absent)
 CLI_TRACED = {
-    "run": "longtail.model",
-    "turnover": "longtail.analysis",
-    "fit_alpha": "longtail.analysis",
-    "run_turnover_sweep": "longtail.experiments",
-    "bruteforce_stock": "longtail.inventory",
-    "load_chart": "longtail.chartdata",
-    "loglog_svg": "longtail.svgplot",
+    attr: cli.LAZY.get(attr)
+    for bindings in _load_tracing().SITES.values() for module, attr in bindings if module == "cli" and attr != "main"
 }
 
 
 def test_a_numeric_name_resolves_on_the_cli_before_any_dispatch():
     # the path perfbench's tracer takes: getattr on the freshly imported module
-    spec = importlib.util.spec_from_file_location("tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    traced = {attr for bindings in tracing.SITES.values() for module, attr in bindings if module == "cli"}
-    assert traced == {*CLI_TRACED, "main"}
+    assert None not in CLI_TRACED.values(), CLI_TRACED
     script = f"""
 import importlib
 import longtail.cli as cli
@@ -958,6 +1000,23 @@ def test_config_values_are_typed_and_ranked(tmp_path, command, config, flags, ex
     assert manifest["seed"] == int(config.get("seed", 0))
 
 
+@pytest.mark.parametrize(
+    "name,flag",
+    [(name, flag) for name, command in COMMANDS.items() for flag in command.flags
+     if flag.default is not cli.REQUIRED and flag.default is not None],
+    ids=lambda value: value if isinstance(value, str) else value.name,
+)
+def test_a_default_written_in_config_reads_back_as_the_default(tmp_path, name, flag):
+    # a flag type whose text does not round-trip its JSON value fails here, not in a user's config
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({flag.dest: list(flag.default) if isinstance(flag.default, tuple) else flag.default}))
+    value = cli._read_config(path, name)[flag.dest]
+    assert value == flag.default
+    # typed as the flag types the default's own text: --s-min's default 1 reads as 1.0, as on the command line
+    text = ",".join(map(str, flag.default)) if isinstance(flag.default, tuple) else str(flag.default)
+    assert repr(value) == repr(flag.type(text))
+
+
 # valid base commands; the flag appended last overrides the base value
 SIM_ARGS = ["simulate", "--n", 10, "--mu", 0.1, "--steps", 5]
 OPT_ARGS = ["optimize", "--A", 1, "--B", 1, "--mu", 0.1]
@@ -1101,13 +1160,17 @@ def test_a_step_numpy_cannot_allocate_exits_2_naming_n(tmp_path, capsys, monkeyp
         (["reproduce", "--figure", "2left"], {"targets": []}, "--targets"),
         (["reproduce", "--figure", "2right"], {"mu-grid": []}, "--mu-grid"),
         (["reproduce", "--figure", "2right"], {"n-grid": []}, "--n-grid"),
+        # refused by the range check, which named --mu but not the config
+        (["simulate"], {"mu": math.nan}, "--mu"),
+        # rounded to 2**53 and ran
+        (["optimize"], {"A": 2**53 + 1}, "--A"),
     ],
 )
 def test_config_value_of_the_wrong_type_exits_2_naming_the_flag(tmp_path, capsys, argv, config, flag):
     out = tmp_path / "out"
-    valid = {"out-dir": str(out), **({"n": 10, "mu": 0.1, "steps": 5} if argv == ["simulate"] else {})}
+    valid = {"simulate": {"out-dir": str(out), "n": 10, "mu": 0.1, "steps": 5}, "optimize": {"A": 1, "B": 1, "mu": 0.1}}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**valid, **config}))
+    path.write_text(json.dumps({**valid.get(argv[0], {"out-dir": str(out)}), **config}))
     assert run_cli(*argv, "--config", path) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: invalid value "), err

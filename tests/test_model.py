@@ -238,7 +238,7 @@ def test_run_memory_is_bounded():
     assert peak < 4_600_000
 
 
-@pytest.mark.parametrize("n,mu,y,lower_id,newer", [(7, 0.2, 3, 0.82684, 1.53181), (6, 0.1, 2, 0.38896, 0.61379)])
+@pytest.mark.parametrize("n,mu,y,lower_id,newer", [(6, 0.1, 2, 0.38896, 0.61379)])
 def test_run_turnover_matches_the_exact_markov_chain(n, mu, y, lower_id, newer):
     # At N <= 7 the market is a finite Markov chain (oracles.exact_turnover),
     # so E[z] is exact; either tie rule is 17-98% away from the other, so the
@@ -250,6 +250,32 @@ def test_run_turnover_matches_the_exact_markov_chain(n, mu, y, lower_id, newer):
     z_bars = [turnover(run(SimConfig(n, mu, 1000, seed), y)[1]).z_bar for seed in range(20)]
     se = np.std(z_bars, ddof=1) / math.sqrt(len(z_bars))
     assert abs(np.mean(z_bars) - lower_id) < 4 * se
+
+
+# (y, E[z] with ties to the lower id, with ties to the newer product) at N = 7, mu = 0.2
+EXACT_Z_AT_7 = [
+    (1, 0.38151, 0.47660), (2, 0.62640, 0.95279), (3, 0.82684, 1.53181), (4, 1.13657, 1.57716),
+    (5, 1.34176, 1.45435), (6, 1.39613, 1.40468), (7, 1.40000, 1.40000),
+]
+
+
+def test_run_turnover_matches_the_exact_markov_chain_at_every_list_size():
+    # The same chain and 4-SE band as above, for every list size y = 1..N.
+    # A top-y list is a prefix of the top-N list, so each seed runs once, at
+    # y = N. At y = N the list holds every live product, so z = k and
+    # E[z] = mu*N exactly, under either tie rule.
+    n, mu = 7, 0.2
+    for y, lower_id, newer in EXACT_Z_AT_7:
+        assert exact_turnover(n, mu, y) == pytest.approx(lower_id, abs=5e-6)
+        assert exact_turnover(n, mu, y, ties_to_newer=True) == pytest.approx(newer, abs=5e-6)
+    assert exact_turnover(n, mu, n) == pytest.approx(mu * n, rel=1e-12)
+    assert exact_turnover(n, mu, n, ties_to_newer=True) == pytest.approx(mu * n, rel=1e-12)
+    runs = [run(SimConfig(n, mu, 1000, seed), y=n)[1] for seed in range(20)]
+    for y, lower_id, _ in EXACT_Z_AT_7:
+        z_bars = [turnover(ids[:y] for ids in lists).z_bar for lists in runs]
+        se = np.std(z_bars, ddof=1) / math.sqrt(len(z_bars))
+        print(f"y = {y}: {(np.mean(z_bars) - lower_id) / se:+.2f} SE")
+        assert abs(np.mean(z_bars) - lower_id) < 4 * se
 
 
 def test_last_states_match_the_exact_t_step_law_of_the_chain():
