@@ -8,11 +8,11 @@ needed to reproduce the outputs bit-exactly.
 
 Every command and flag is declared once, in COMMANDS; that table builds the
 argument parser, resolves values (built-in default, then --config, then the
-flag), checks required flags and that the reproduce preset reads every flag
-given, and names the flag behind an error: for a validation error, the flag
-whose dest or alias field starts the message; for an I/O error, the
-Path-typed flag (--input, --config, --out-dir) whose path holds the file.
-One run at a time writes an --out-dir.
+flag: each is text read by the flag's type), checks required flags and that
+the reproduce preset reads every flag given, and names the flag behind an
+error: for a validation error, the flag whose dest or alias field starts the
+message; for an I/O error, the Path-typed flag (--input, --config, --out-dir)
+whose path holds the file. One run at a time writes an --out-dir.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -305,7 +305,7 @@ REQUIRED = object()  # default of a flag that must come from the command line or
 class Flag(NamedTuple):
     name: str
     type: Callable
-    default: object
+    default: object  # REQUIRED, None (the handler picks), or the text a user would type, read by type
     help: str
     # library fields the value feeds under another name than its dest; a
     # ValueError whose message starts with the dest or one of them names this flag
@@ -324,16 +324,10 @@ class Command(NamedTuple):
     flags: tuple[Flag, ...]
 
 
-# Default sweep protocol: 60 (N, mu) cells, 10 replicates of 1000 steps each,
-# tracking the top-5 list. The mu grid stays above the winner-take-all
-# boundary for most N (mu*N >= 1 once N >= 500 at the smallest mu); pushing
-# mu much lower makes turnover scale with mu*N instead of sqrt(mu).
-DEFAULT_N_GRID = tuple(range(100, 1001, 100))
+# 2right's default mu grid, for a sweep of 60 (N, mu) cells. It stays above the
+# winner-take-all boundary for most N (mu*N >= 1 once N >= 500 at the smallest
+# mu); pushing mu much lower makes turnover scale with mu*N instead of sqrt(mu).
 DEFAULT_MU_GRID = (0.002, 0.003, 0.005, 0.01, 0.02, 0.05)
-DEFAULT_NMU_TARGETS = (0.5, 1.0, 2.0, 5.0)
-
-# A/B ratios of the shelf-size curves (figure 3), by decades
-DEFAULT_AB_RATIOS = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 
 SEEDED = ("2left", "2right")  # the presets that simulate
 
@@ -342,13 +336,13 @@ COMMANDS = {
         Flag("--n", int, REQUIRED, "number of agents", ("n_agents",)),
         Flag("--mu", float, REQUIRED, "innovation fraction in [0, 1]"),
         Flag("--steps", int, REQUIRED, "number of periods"),
-        Flag("--seed", int, 0, "RNG seed"),
-        Flag("--y", int, 5, "top-list size to record"),
+        Flag("--seed", int, "0", "RNG seed"),
+        Flag("--y", int, "5", "top-list size to record"),
         Flag("--out-dir", Path, REQUIRED, "output directory"),
     )),
     "fit": Command(cmd_fit, "fit a power-law exponent to a sales CSV", (
         Flag("--input", Path, REQUIRED, "CSV with a 'sales' or 'cumulative_sales' column"),
-        Flag("--s-min", float, 1, "smallest sales value included"),
+        Flag("--s-min", float, "1", "smallest sales value included"),
     )),
     "turnover": Command(cmd_turnover, "turnover statistics and implied mu for a chart file", (
         Flag("--input", Path, REQUIRED, "chart CSV: period,product_id[,sales]"),
@@ -359,36 +353,37 @@ COMMANDS = {
         Flag("--B", float, REQUIRED, "cost per inventory change", ("turnover_cost",)),
         Flag("--mu", float, REQUIRED, "innovation fraction in (0, 1]"),
         # the default alpha of 3.5 matches the commonly cited exponent for book sales
-        Flag("--alpha", float, 3.5, "sales power-law exponent"),
-        Flag("--y-max", int, 1_000_000, "search bound"),
+        Flag("--alpha", float, "3.5", "sales power-law exponent"),
+        Flag("--y-max", int, "1000000", "search bound"),
     )),
     "reproduce": Command(cmd_reproduce, "run a bundled experiment preset and render CSV + SVG", (
         Flag("--figure", str, REQUIRED, f"experiment preset: {', '.join(PRESETS)}"),
         Flag("--out-dir", Path, REQUIRED, "output directory"),
-        Flag("--seed", int, 0, "master seed", ("master_seed",), figures=SEEDED),
-        Flag("--steps", int, 1000, "steps per run", figures=SEEDED),
-        Flag("--runs", int, 10, "replicates per 2left target or 2right cell", ("replicates", "runs_per_cell"),
+        Flag("--seed", int, "0", "master seed", ("master_seed",), figures=SEEDED),
+        Flag("--steps", int, "1000", "steps per run", figures=SEEDED),
+        Flag("--runs", int, "10", "replicates per 2left target or 2right cell", ("replicates", "runs_per_cell"),
              figures=SEEDED),
-        Flag("--y", int, 5, "top-list size", figures=("2right",)),
-        Flag("--n", int, 500, "agent count", ("n_agents",), figures=("2left",)),
-        Flag("--n-grid", _int_list, DEFAULT_N_GRID, "comma-separated N grid", figures=("2right",)),
+        Flag("--y", int, "5", "top-list size", figures=("2right",)),
+        Flag("--n", int, "500", "agent count", ("n_agents",), figures=("2left",)),
+        Flag("--n-grid", _int_list, "100,200,300,400,500,600,700,800,900,1000", "comma-separated N grid",
+             figures=("2right",)),
         Flag("--mu-grid", _float_list, None,
              "comma-separated mu grid, by default six values from 0.002 to 0.05 for 2right"
              " and 25 log-spaced values in [1e-4, 0.5] for 3", ("mu",), figures=("2right", "3")),
-        Flag("--targets", _float_list, DEFAULT_NMU_TARGETS, "comma-separated N*mu targets", figures=("2left",)),
-        Flag("--ab-ratios", _float_list, DEFAULT_AB_RATIOS, "comma-separated A/B ratios", ("profit_per_item",),
-             figures=("3",)),
-        Flag("--alpha", float, 3.5, "exponent of the shelf-size curves", figures=("3",)),  # 3.5 as for optimize
-        Flag("--workers", int, 1, "worker processes for the sweep (at most one per cell and CPU)", figures=("2right",)),
+        Flag("--targets", _float_list, "0.5,1,2,5", "comma-separated N*mu targets", figures=("2left",)),
+        Flag("--ab-ratios", _float_list, "10,100,1e3,1e4,1e5,1e6", "comma-separated A/B ratios",
+             ("profit_per_item",), figures=("3",)),
+        Flag("--alpha", float, "3.5", "exponent of the shelf-size curves", figures=("3",)),  # 3.5 as for optimize
+        Flag("--workers", int, "1", "worker processes for the sweep (at most one per cell and CPU)",
+             figures=("2right",)),
     )),
 }
 
 
 def _help(flag: Flag) -> str:
     notes = [f"read by --figure {', '.join(flag.figures)}"] if flag.figures else []
-    if flag.default is not REQUIRED and flag.default is not None:
-        default = ",".join(map(str, flag.default)) if isinstance(flag.default, tuple) else flag.default
-        notes.append(f"default {default}")
+    if isinstance(flag.default, str):
+        notes.append(f"default {flag.default}")
     return f"{flag.help} ({'; '.join(notes)})" if notes else flag.help
 
 
@@ -460,7 +455,7 @@ def _read_config(path: Path, name: str) -> dict:
 
 
 def _resolve(name: str, passed: dict) -> argparse.Namespace:
-    """Every flag's value: built-in default, then --config, then the flag.
+    """Every flag's value: built-in default, then --config, then the flag, each read by the flag's type.
 
     A reproduce flag that the chosen preset does not read is refused, passed
     or set in --config, so that no value is silently ignored.
@@ -468,7 +463,7 @@ def _resolve(name: str, passed: dict) -> argparse.Namespace:
     flags = COMMANDS[name].flags
     given = _read_config(passed.pop("config"), name) if "config" in passed else {}
     given.update(passed)
-    values = {flag.dest: flag.default for flag in flags} | given
+    values = {f.dest: f.type(f.default) if isinstance(f.default, str) else f.default for f in flags} | given
     missing = [flag.name for flag in flags if values[flag.dest] is REQUIRED]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} (pass the flag or set it in --config)")
@@ -514,7 +509,7 @@ def main(argv=None) -> int:
         a = _resolve(name, passed)
         if not hasattr(a, "out_dir"):
             _bind("asdict")
-            print(json.dumps(COMMANDS[name].handler(a), indent=2, sort_keys=True))
+            print(json.dumps(COMMANDS[name].handler(a), indent=2, sort_keys=True), flush=True)
             return 0
         lock = _check_out_dir(a.out_dir)
         try:
@@ -529,6 +524,9 @@ def main(argv=None) -> int:
             if lock is not None:
                 os.close(lock)  # releases the lock
         return 0
+    except BrokenPipeError:  # print's flush met a closed stdout, as after `| head`: exit 3, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush writes nowhere
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {_flagged(exc, name, vars(a))}", file=sys.stderr)
         return 4 if isinstance(exc, InsufficientDataError) else 2 if isinstance(exc, ValueError) else 3

@@ -1,11 +1,13 @@
 """CLI surface: subcommands, output files, exit codes, determinism."""
 
 import argparse
+import ast
 import concurrent.futures
 import contextlib
 import csv
 import errno
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -15,9 +17,9 @@ import platform
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,6 @@ from hypothesis import strategies as st
 from longtail import chartdata, cli, experiments
 from longtail.analysis import fit_alpha
 from longtail.cli import COMMANDS, main
-from longtail.inventory import InventoryResult
 from oracles import traced_peak
 
 
@@ -258,6 +259,20 @@ def test_fit_accepts_cumulative_sales_column(tmp_path, capsys):
     write_lines(path, "product_id,cumulative_sales", [f"{i},{s}" for i, s in enumerate([1, 2, 4, 9])])
     assert run_cli("fit", "--input", path) == 0
     assert read_json(capsys)["n_samples"] == 4
+
+
+def test_fit_prints_s_min_as_a_float_wherever_it_is_set(tmp_path, capsys):
+    # the default was the int 1, so it alone printed "s_min": 1
+    path = tmp_path / "sales.csv"
+    write_lines(path, "sales", ["1", "3", "9", "40"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"s_min": 1}))
+    outputs = []
+    for flags in ([], ["--s-min", 1], ["--config", config]):
+        assert run_cli("fit", "--input", path, *flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == [outputs[0]] * 3
+    assert '"s_min": 1.0,' in outputs[0]
 
 
 def test_fit_insufficient_data_exit_4(tmp_path, capsys):
@@ -545,15 +560,6 @@ def test_main_builds_its_parser_once(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr() == last
 
 
-def test_a_patched_numeric_name_survives_the_first_dispatch(monkeypatch, capsys):
-    # perfbench's tracer and the tests replace cli's numeric names before the handler binds them
-    stub = InventoryResult(y_closed_form=0.5, y_closed_form_floor=0, y_bruteforce=7, objective_at_optimum=1.5,
-                           capped=False)
-    monkeypatch.setattr(cli, "bruteforce_stock", lambda params: stub)
-    assert run_cli("optimize", "--A", 10, "--B", 1, "--mu", 0.25) == 0
-    assert read_json(capsys) == asdict(stub)
-
-
 # ---------------------------------------------------------------------------
 # reproduce
 
@@ -694,6 +700,20 @@ def test_a_flag_the_preset_does_not_read_exits_2_before_the_out_dir_and_the_comp
     assert err.startswith(f"error: {unread}: not read by --figure "), err
 
 
+@pytest.mark.parametrize("figure", list(cli.PRESETS))
+def test_the_figures_column_matches_what_each_preset_reads(figure):
+    # a preset that read a flag not listed for its figure would always see the
+    # default (the flag is refused), and a listed flag it never read would be
+    # accepted and then ignored
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli.PRESETS[figure])))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "a"}
+    flags = {flag.dest: flag for flag in COMMANDS["reproduce"].flags}
+    assert read <= set(flags), read - set(flags)
+    assert [dest for dest in read if figure not in flags[dest].figures] == []
+    assert [dest for dest, flag in flags.items() if figure in flag.figures and dest not in read] == []
+
+
 def test_out_dir_where_no_directory_can_be_made_is_refused_before_the_compute(tmp_path, capsys, monkeypatch):
     # os.access granted root every directory, so the run went ahead and only its write failed
     mkdir = os.mkdir
@@ -761,6 +781,33 @@ def test_a_shell_sees_the_exit_status(tmp_path, argv, status):
     )
     assert finished.returncode == status, finished.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["fit", "turnover", "optimize"])
+def test_a_closed_stdout_exits_3_silently(tmp_path, command, buffered):
+    # a reader that stops early, as `| head` does, closes the pipe; the command
+    # printed "error: [Errno 32] Broken pipe" and exited 3 unbuffered, and
+    # printed "Exception ignored ... BrokenPipeError" and exited 120 buffered
+    write_lines(tmp_path / "sales.csv", "sales", ["1", "3", "9", "40"])
+    write_lines(tmp_path / "chart.csv", "period,product_id", chart_rows([[1, 2], [2, 3], [3, 4]]))
+    argv = {
+        "fit": ["fit", "--input", "sales.csv"],
+        "turnover": ["turnover", "--input", "chart.csv", "--y", "2"],
+        "optimize": ["optimize", "--A", "10", "--B", "1", "--mu", "0.25"],
+    }[command]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        finished = subprocess.run([sys.executable, "-m", "longtail.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                                  env=env, cwd=tmp_path, text=True)
+    finally:
+        os.close(write)
+    assert (finished.returncode, finished.stderr) == (3, "")
 
 
 def test_importing_and_rejecting_argv_load_no_numpy():
@@ -841,42 +888,20 @@ CLI_TRACED = {
 }
 
 
-def test_a_numeric_name_resolves_on_the_cli_before_any_dispatch():
-    # the path perfbench's tracer takes: getattr on the freshly imported module
-    assert None not in CLI_TRACED.values(), CLI_TRACED
-    script = f"""
-import importlib
-import longtail.cli as cli
-for name, module in {CLI_TRACED!r}.items():
-    value = getattr(cli, name)
-    print(name, value is getattr(importlib.import_module(module), name))
-"""
-    assert _probe(script).splitlines() == [f"{name} True" for name in CLI_TRACED]
-
-
-def test_a_traced_plot_survives_the_first_reproduce(tmp_path):
-    # the tracer wraps cli.loglog_svg before any dispatch; reproduce must call the wrapper
-    script = f"""
-import longtail.cli as cli
-plot = getattr(cli, 'loglog_svg')
-calls = []
-cli.loglog_svg = lambda *args, **kwargs: calls.append(1) or plot(*args, **kwargs)
-print(cli.main(['reproduce', '--figure', '3', '--out-dir', {str(tmp_path / "out")!r}]), len(calls))
-"""
-    assert _probe(script) == "0 1\n"
-    assert (tmp_path / "out" / "inventory_curves.svg").read_text().startswith("<svg")
-
-
 def test_every_traced_name_is_called_through_its_wrapper(tmp_path):
-    # the tracer wraps each name on the freshly imported cli, before any
+    # the tracer resolves each name on the freshly imported cli with getattr,
+    # which must give the module's own object, and wraps it before any
     # dispatch; a command that bound its own copy would bypass the wrapper
+    assert None not in CLI_TRACED.values(), CLI_TRACED
     out = str(tmp_path / "out")
     script = f"""
-import contextlib, io
+import contextlib, importlib, io
 import longtail.cli as cli
 called = set()
 def wrap(name, inner):
     return lambda *args, **kwargs: called.add(name) or inner(*args, **kwargs)
+unresolved = [name for name, module in {CLI_TRACED!r}.items()
+              if getattr(cli, name) is not getattr(importlib.import_module(module), name)]
 for name in {list(CLI_TRACED)!r}:
     setattr(cli, name, wrap(name, getattr(cli, name)))
 with contextlib.redirect_stdout(io.StringIO()):
@@ -887,10 +912,11 @@ with contextlib.redirect_stdout(io.StringIO()):
         ['optimize', '--A', '10', '--B', '1', '--mu', '0.25'],
         ['reproduce', '--figure', '2right', '--n-grid', '60,120', '--mu-grid', '0.02,0.05', '--runs', '1',
          '--steps', '80', '--out-dir', {out + "-2right"!r}],
+        ['reproduce', '--figure', '3', '--out-dir', {out + "-3"!r}],
     )]
-print(codes, sorted(called))
+print(unresolved, codes, sorted(called))
 """
-    assert _probe(script) == f"{[0] * 5} {sorted(CLI_TRACED)}\n"
+    assert _probe(script) == f"[] {[0] * 6} {sorted(CLI_TRACED)}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1007,14 +1033,15 @@ def test_config_values_are_typed_and_ranked(tmp_path, command, config, flags, ex
     ids=lambda value: value if isinstance(value, str) else value.name,
 )
 def test_a_default_written_in_config_reads_back_as_the_default(tmp_path, name, flag):
-    # a flag type whose text does not round-trip its JSON value fails here, not in a user's config
+    # a default is the text a user would type, read by the flag's type as a
+    # flag is; a flag type whose value does not round-trip through JSON fails
+    # here, not in a user's config
+    assert isinstance(flag.default, str)
+    default = flag.type(flag.default)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({flag.dest: list(flag.default) if isinstance(flag.default, tuple) else flag.default}))
+    path.write_text(json.dumps({flag.dest: list(default) if isinstance(default, tuple) else default}))
     value = cli._read_config(path, name)[flag.dest]
-    assert value == flag.default
-    # typed as the flag types the default's own text: --s-min's default 1 reads as 1.0, as on the command line
-    text = ",".join(map(str, flag.default)) if isinstance(flag.default, tuple) else str(flag.default)
-    assert repr(value) == repr(flag.type(text))
+    assert value == default and repr(value) == repr(default)
 
 
 # valid base commands; the flag appended last overrides the base value

@@ -44,7 +44,8 @@ GOLDEN = {
         "stdout": "bfea29979dde2f1e37ea692d1a2c6281e37517ea24e4b3e3d47a05df109313b4",
     },
     "fit-defaults": {
-        "stdout": "861f1784201f9a79072ed46730cfe2c8ec4a5fb38b6df77cf392f001f335eb95",
+        # "s_min": 1.0, as for --s-min 1: the default "1" is read by the float flag
+        "stdout": "942ebdb1cab47f3e7f13a7cba27f6d95814cfc893cc70d7e1cb8428683cb6656",
     },
     "optimize": {
         "stdout": "85e16e7b2c02dd782c41c19fd244463c90dbecc970e7e22299bd5496f39997f5",
