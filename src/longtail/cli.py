@@ -7,12 +7,13 @@ manifest.json echoing the resolved configuration, seed and tool version
 needed to reproduce the outputs bit-exactly.
 
 Every command and flag is declared once, in COMMANDS; that table builds the
-argument parser, resolves values (built-in default, then --config, then the
-flag: each is text read by the flag's type), checks required flags and that
-the reproduce preset reads every flag given, and names the flag behind an
-error: for a validation error, the flag whose dest or alias field starts the
-message; for an I/O error, the Path-typed flag (--input, --config, --out-dir)
-whose path holds the file. One run at a time writes an --out-dir.
+argument parser, resolves values (built-in default, per preset for --mu-grid,
+then --config, then the flag: each is text read by the flag's type), checks
+required flags and that the reproduce preset reads every flag given, and names
+the flag behind an error: for a validation error, the flag whose dest or alias
+field starts the message; for an I/O error, the Path-typed flag (--input,
+--config, --out-dir) whose path holds the file. One run at a time writes an
+--out-dir.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -138,6 +139,14 @@ def _check_out_dir(out_dir: Path) -> int | None:
     return _lock(out_dir) if ancestor == out_dir.absolute() else None
 
 
+def _stderr(message: str) -> None:
+    """Print message on stderr. A closed stderr loses only the message, not the exit code or the result."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:  # point fd 2 at os.devnull, so that the exit flush writes nowhere and cannot exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -193,8 +202,7 @@ def cmd_optimize(a) -> dict:
     params = InventoryParams(profit_per_item=a.A, turnover_cost=a.B, mu=a.mu, alpha=a.alpha, y_max=a.y_max)
     result = bruteforce_stock(params)
     if result.capped:
-        print(f"warning: --y-max: objective still increasing at y_max={a.y_max}; result is capped",
-              file=sys.stderr)
+        _stderr(f"warning: --y-max: objective still increasing at y_max={a.y_max}; result is capped")
     return asdict(result)
 
 
@@ -240,10 +248,9 @@ def _sales_distribution(a):
 
 def _turnover_sweep(a):
     _bind("run_turnover_sweep", "per_mu_stats", "expected_turnover")
-    mu_grid = DEFAULT_MU_GRID if a.mu_grid is None else a.mu_grid
-    config = {"n_grid": a.n_grid, "mu_grid": mu_grid, "runs_per_cell": a.runs, "steps": a.steps, "y": a.y}
+    config = {"n_grid": a.n_grid, "mu_grid": a.mu_grid, "runs_per_cell": a.runs, "steps": a.steps, "y": a.y}
     cells, fit = run_turnover_sweep(**config, master_seed=a.seed, workers=a.workers)
-    fit_x = [min(mu_grid), max(mu_grid)]
+    fit_x = [min(a.mu_grid), max(a.mu_grid)]
     fit_y = [math.exp(fit.intercept + fit.slope * math.log(m)) for m in fit_x]
     reference_y = [expected_turnover(a.y, m) for m in fit_x]
     svg = loglog_svg(
@@ -266,11 +273,7 @@ def _turnover_sweep(a):
 
 def _inventory_curves(a):
     _bind("inventory_curve")
-    import numpy  # here, not at module level: importing the CLI loads no numpy
-
-    # the default grid is made here, not on import: its numpy calls add about 0.5 MB to every command's RSS
-    mu_grid = tuple(numpy.geomspace(1e-4, 0.5, 25).tolist()) if a.mu_grid is None else a.mu_grid
-    config = {"alpha": a.alpha, "ab_ratios": a.ab_ratios, "mu_grid": mu_grid}
+    config = {"alpha": a.alpha, "ab_ratios": a.ab_ratios, "mu_grid": a.mu_grid}
     points = inventory_curve(**config)
     series = []
     for ab in a.ab_ratios:
@@ -305,7 +308,7 @@ REQUIRED = object()  # default of a flag that must come from the command line or
 class Flag(NamedTuple):
     name: str
     type: Callable
-    default: object  # REQUIRED, None (the handler picks), or the text a user would type, read by type
+    default: object  # REQUIRED, the text a user would type (read by type), or a dict of that text by preset
     help: str
     # library fields the value feeds under another name than its dest; a
     # ValueError whose message starts with the dest or one of them names this flag
@@ -323,11 +326,6 @@ class Command(NamedTuple):
     help: str
     flags: tuple[Flag, ...]
 
-
-# 2right's default mu grid, for a sweep of 60 (N, mu) cells. It stays above the
-# winner-take-all boundary for most N (mu*N >= 1 once N >= 500 at the smallest
-# mu); pushing mu much lower makes turnover scale with mu*N instead of sqrt(mu).
-DEFAULT_MU_GRID = (0.002, 0.003, 0.005, 0.01, 0.02, 0.05)
 
 SEEDED = ("2left", "2right")  # the presets that simulate
 
@@ -367,9 +365,16 @@ COMMANDS = {
         Flag("--n", int, "500", "agent count", ("n_agents",), figures=("2left",)),
         Flag("--n-grid", _int_list, "100,200,300,400,500,600,700,800,900,1000", "comma-separated N grid",
              figures=("2right",)),
-        Flag("--mu-grid", _float_list, None,
-             "comma-separated mu grid, by default six values from 0.002 to 0.05 for 2right"
-             " and 25 log-spaced values in [1e-4, 0.5] for 3", ("mu",), figures=("2right", "3")),
+        # 2right's grid keeps mu*N >= 1 (above winner-take-all) for N >= 500: much lower mu makes turnover scale
+        # with mu*N, not sqrt(mu). 3's, 25 log-spaced values in [1e-4, 0.5], is text: numpy's bits vary by CPU
+        Flag("--mu-grid", _float_list, {"2right": "0.002,0.003,0.005,0.01,0.02,0.05", "3": (
+                 "0.0001,0.00014260138716967106,0.0002033515562271441,0.0002899821400110211,0.0004135185542000139,"
+                 "0.0005896831944931879,0.0008408964152537145,0.0011991299528118344,0.001709975946676698,"
+                 "0.002438449420228684,0.003477262698676905,0.004958624843846807,0.0070710678118654745,"
+                 "0.010083440787428274,0.014379126437305123,0.020504833762477987,0.029240177382128668,"
+                 "0.041696898557787895,0.05946035575013605,0.08479129211571527,0.12091355875609794,"
+                 "0.17242441206241074,0.2458796034201474,0.35062772524441616,0.5")},
+             "comma-separated mu grid", ("mu",), figures=("2right", "3")),
         Flag("--targets", _float_list, "0.5,1,2,5", "comma-separated N*mu targets", figures=("2left",)),
         Flag("--ab-ratios", _float_list, "10,100,1e3,1e4,1e5,1e6", "comma-separated A/B ratios",
              ("profit_per_item",), figures=("3",)),
@@ -382,7 +387,9 @@ COMMANDS = {
 
 def _help(flag: Flag) -> str:
     notes = [f"read by --figure {', '.join(flag.figures)}"] if flag.figures else []
-    if isinstance(flag.default, str):
+    if isinstance(flag.default, dict):
+        notes += [f"default for {figure} {text}" for figure, text in flag.default.items()]
+    elif isinstance(flag.default, str):
         notes.append(f"default {flag.default}")
     return f"{flag.help} ({'; '.join(notes)})" if notes else flag.help
 
@@ -463,11 +470,12 @@ def _resolve(name: str, passed: dict) -> argparse.Namespace:
     flags = COMMANDS[name].flags
     given = _read_config(passed.pop("config"), name) if "config" in passed else {}
     given.update(passed)
-    values = {f.dest: f.type(f.default) if isinstance(f.default, str) else f.default for f in flags} | given
+    figure = given.get("figure")
+    texts = [f.default.get(figure) if isinstance(f.default, dict) else f.default for f in flags]
+    values = {f.dest: f.type(text) if isinstance(text, str) else text for f, text in zip(flags, texts)} | given
     missing = [flag.name for flag in flags if values[flag.dest] is REQUIRED]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} (pass the flag or set it in --config)")
-    figure = values.get("figure")
     if figure is not None:
         if figure not in PRESETS:
             raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {figure!r}")
@@ -528,7 +536,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush writes nowhere
         return 3
     except (ValueError, OSError) as exc:
-        print(f"error: {_flagged(exc, name, vars(a))}", file=sys.stderr)
+        _stderr(f"error: {_flagged(exc, name, vars(a))}")
         return 4 if isinstance(exc, InsufficientDataError) else 2 if isinstance(exc, ValueError) else 3
 
 

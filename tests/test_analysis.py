@@ -113,6 +113,14 @@ def test_turnover_single_entrant():
     assert stats.z_per_period == [1]
 
 
+def test_turnover_counts_entrants_across_lists_of_unequal_length():
+    # a list that grows counts its new item, and one that shrinks counts none;
+    # counting the leavers (prev - current) instead gives [0, 1]
+    stats = turnover_of_list_and_iterator([[1], [1, 2], [2]])
+    assert stats.z_per_period == [1, 0]
+    assert stats.z_bar == 0.5
+
+
 def test_turnover_needs_two_periods():
     for lists in ([], [[1, 2, 3]]):
         for given_as in (list, iter):

@@ -602,8 +602,8 @@ class Recorded(ValueError):
     ids=["2right", "2left"],
 )
 def test_a_seeded_preset_passes_the_paper_protocol_at_its_defaults(tmp_path, monkeypatch, figure, study, protocol):
-    # the flag table is the only statement of these defaults; figure 3's are
-    # pinned by the golden reproduce-3-defaults
+    # the flag table is the only statement of these defaults, 2right's mu grid
+    # included; figure 3's are pinned by the golden reproduce-3-defaults
     calls = []
 
     def record(**kwargs):
@@ -712,6 +712,9 @@ def test_the_figures_column_matches_what_each_preset_reads(figure):
     assert read <= set(flags), read - set(flags)
     assert [dest for dest in read if figure not in flags[dest].figures] == []
     assert [dest for dest, flag in flags.items() if figure in flag.figures and dest not in read] == []
+    # a per-preset default has a text for exactly the presets that read the flag
+    assert [dest for dest, flag in flags.items()
+            if isinstance(flag.default, dict) and set(flag.default) != set(flag.figures)] == []
 
 
 def test_out_dir_where_no_directory_can_be_made_is_refused_before_the_compute(tmp_path, capsys, monkeypatch):
@@ -783,6 +786,24 @@ def test_a_shell_sees_the_exit_status(tmp_path, argv, status):
     assert not (tmp_path / "out").exists()
 
 
+def run_into_a_closed_pipe(argv, cwd, buffered, stream):
+    """Run the CLI in a child whose stream ("stdout" or "stderr") is a pipe with its read end closed first.
+
+    The other stream is captured. Buffered is CI's setting; PYTHONUNBUFFERED=1 the other.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
+    try:
+        return subprocess.run([sys.executable, "-m", "longtail.cli", *argv], **streams, env=env, cwd=cwd, text=True)
+    finally:
+        os.close(write)
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["fit", "turnover", "optimize"])
 def test_a_closed_stdout_exits_3_silently(tmp_path, command, buffered):
@@ -796,18 +817,30 @@ def test_a_closed_stdout_exits_3_silently(tmp_path, command, buffered):
         "turnover": ["turnover", "--input", "chart.csv", "--y", "2"],
         "optimize": ["optimize", "--A", "10", "--B", "1", "--mu", "0.25"],
     }[command]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        finished = subprocess.run([sys.executable, "-m", "longtail.cli", *argv], stdout=write, stderr=subprocess.PIPE,
-                                  env=env, cwd=tmp_path, text=True)
-    finally:
-        os.close(write)
+    finished = run_into_a_closed_pipe(argv, tmp_path, buffered, "stdout")
     assert (finished.returncode, finished.stderr) == (3, "")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (["fit", "--input", "nope.csv"], 3),
+        # capped: its warning is the only line on stderr, and its JSON goes to stdout
+        (["optimize", "--A", "1e4", "--B", "1", "--mu", "0.01", "--alpha", "0.5", "--y-max", "1000"], 0),
+    ],
+    ids=["fit-error", "optimize-capped"],
+)
+def test_a_closed_stderr_keeps_the_exit_code_and_the_result(tmp_path, argv, status, buffered):
+    # the error line's BrokenPipeError escaped main's handler (exit 1 unbuffered,
+    # 120 buffered), and the capped warning's reached main's handler for a
+    # closed stdout, which dropped the result and exited 3
+    finished = run_into_a_closed_pipe(argv, tmp_path, buffered, "stderr")
+    assert finished.returncode == status
+    if status == 0:
+        assert json.loads(finished.stdout)["capped"] is True
+    else:
+        assert finished.stdout == ""
 
 
 def test_importing_and_rejecting_argv_load_no_numpy():
@@ -1027,17 +1060,17 @@ def test_config_values_are_typed_and_ranked(tmp_path, command, config, flags, ex
 
 
 @pytest.mark.parametrize(
-    "name,flag",
-    [(name, flag) for name, command in COMMANDS.items() for flag in command.flags
-     if flag.default is not cli.REQUIRED and flag.default is not None],
-    ids=lambda value: value if isinstance(value, str) else value.name,
+    "name,flag,text",
+    [pytest.param(name, flag, text, id=f"{name}-{flag.name}" + (f"-{figure}" if figure else ""))
+     for name, command in COMMANDS.items() for flag in command.flags if flag.default is not cli.REQUIRED
+     for figure, text in (flag.default.items() if isinstance(flag.default, dict) else [("", flag.default)])],
 )
-def test_a_default_written_in_config_reads_back_as_the_default(tmp_path, name, flag):
-    # a default is the text a user would type, read by the flag's type as a
-    # flag is; a flag type whose value does not round-trip through JSON fails
-    # here, not in a user's config
-    assert isinstance(flag.default, str)
-    default = flag.type(flag.default)
+def test_a_default_written_in_config_reads_back_as_the_default(tmp_path, name, flag, text):
+    # a default, or each preset's default, is the text a user would type, read
+    # by the flag's type as a flag is; a flag type whose value does not
+    # round-trip through JSON fails here, not in a user's config
+    assert isinstance(text, str)
+    default = flag.type(text)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({flag.dest: list(default) if isinstance(default, tuple) else default}))
     value = cli._read_config(path, name)[flag.dest]
