@@ -10,6 +10,7 @@ an observed chart.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,25 +49,23 @@ def fit_alpha(samples: Sequence[float] | np.ndarray, s_min: float = 1) -> PowerL
     as continuous values; for heavy-tailed data spanning several decades the
     approximation error is small compared to the sampling error.
 
-    Memory: ``samples`` is released once converted (a list handed straight
-    in, as the CLI's fit does, is freed then), and the logs are taken in
-    place in the filtered copy that boolean indexing makes, so no third float
-    array is made and a caller's array is never written.
+    Memory: ``samples`` is released once counted (a list handed straight in,
+    as the CLI's fit does, is freed then). ``math.log`` is taken once per
+    distinct value and count x log summed with ``math.fsum``, which rounds
+    once, so no float array is made, a caller's array is never written, and
+    the sum's bits do not depend on numpy's choice of kernel for the CPU.
     """
     if not 1 <= s_min < math.inf:
         raise ValueError(f"s_min must be finite and >= 1, got {s_min}")
+    counts = Counter(samples.tolist() if isinstance(samples, np.ndarray) else samples)
+    del samples
     try:
-        s = np.asarray(samples, dtype=float)
+        log_sum = math.fsum(count * math.log(float(v) / s_min) for v, count in counts.items() if v >= s_min)
     except OverflowError:
         raise ValueError("a sample exceeds the largest float") from None
-    del samples
-    s = s[s >= s_min]
-    n = int(s.size)
+    n = sum(count for v, count in counts.items() if v >= s_min)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples >= s_min={s_min}, got {n}")
-    s /= s_min
-    np.log(s, out=s)
-    log_sum = float(s.sum())
     if log_sum == 0.0:
         raise InsufficientDataError("all samples equal s_min; exponent is undefined")
     alpha = 1.0 + n / log_sum

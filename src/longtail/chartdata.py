@@ -121,17 +121,23 @@ def load_chart(path: str | Path) -> list[list[int]]:
             raise ValueError(f"{path}: empty chart file")
         if header not in CHART_HEADERS:
             raise ValueError(f"{path}: header must be 'period,product_id[,sales]', got {','.join(header)}")
+        width = len(header)
         # each period's ids are the keys of a dict: an insertion-ordered set,
         # so one lookup finds a duplicate and the keys keep the rank order
         by_period: dict[int, dict[int, None]] = {}
+        # one int object per distinct id, shared by every period that lists it
+        interned: dict[int, int] = {}
         for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+            if len(row) != width:
+                raise ValueError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
             try:
                 period, product_id = int(row[0]), int(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{reader.line_num}: period and product_id must be integers") from None
-            ids = by_period.setdefault(period, {})
+            product_id = interned.setdefault(product_id, product_id)
+            ids = by_period.get(period)
+            if ids is None:  # not setdefault(period, {}), which makes an empty dict for every row
+                ids = by_period[period] = {}
             if product_id in ids:
                 raise ValueError(f"{path}:{reader.line_num}: duplicate entry for period {period}, product {product_id}")
             ids[product_id] = None

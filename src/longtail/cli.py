@@ -139,12 +139,23 @@ def _check_out_dir(out_dir: Path) -> int | None:
     return _lock(out_dir) if ancestor == out_dir.absolute() else None
 
 
-def _stderr(message: str) -> None:
+def _write(stream, text: str) -> None:
+    """Write text to stream and flush it. When that fails, the stream's fd is pointed at os.devnull before the
+    error propagates, so that what stays in the stream's buffer goes nowhere at exit and cannot exit 120."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
+def _stderr(message: str, end: str = "\n") -> None:
     """Print message on stderr. A closed stderr loses only the message, not the exit code or the result."""
     try:
-        print(message, file=sys.stderr, flush=True)
-    except OSError:  # point fd 2 at os.devnull, so that the exit flush writes nowhere and cannot exit 120
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+        _write(sys.stderr, message + end)
+    except OSError:
+        pass
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -510,6 +521,7 @@ def main(argv=None) -> int:
     try:
         passed = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
+        _stderr("", end="")  # argparse ignores a failed write of its usage error, which stays in stderr's buffer
         return exc.code if isinstance(exc.code, int) else 2
     name = passed.pop("command")
     a = argparse.Namespace(**passed)  # until resolved, an error is named from the flags as passed
@@ -517,7 +529,7 @@ def main(argv=None) -> int:
         a = _resolve(name, passed)
         if not hasattr(a, "out_dir"):
             _bind("asdict")
-            print(json.dumps(COMMANDS[name].handler(a), indent=2, sort_keys=True), flush=True)
+            _write(sys.stdout, json.dumps(COMMANDS[name].handler(a), indent=2, sort_keys=True) + "\n")
             return 0
         lock = _check_out_dir(a.out_dir)
         try:
@@ -532,8 +544,7 @@ def main(argv=None) -> int:
             if lock is not None:
                 os.close(lock)  # releases the lock
         return 0
-    except BrokenPipeError:  # print's flush met a closed stdout, as after `| head`: exit 3, silently
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush writes nowhere
+    except BrokenPipeError:  # the result met a closed stdout, as after `| head`: exit 3, silently
         return 3
     except (ValueError, OSError) as exc:
         _stderr(f"error: {_flagged(exc, name, vars(a))}")

@@ -63,7 +63,9 @@ def test_load_chart_memory_is_bounded(tmp_path):
     write_chart(path, rows, header="period,product_id,sales")
     lists, peak = oracles.traced_peak(load_chart, path)
     assert len(lists) == 1000 and lists[1][:2] == [1002, 1003]
-    assert peak < 1_300_000  # 0.86 MB; with a set of (period, id) pairs beside the lists, 1.7 MB
+    # 0.60 MB, one int per distinct id; 0.75 MB with one per row, and 1.7 MB
+    # with a set of (period, id) pairs beside the lists
+    assert peak < 700_000
 
 
 # ---------------------------------------------------------------------------

@@ -786,8 +786,8 @@ def test_a_shell_sees_the_exit_status(tmp_path, argv, status):
     assert not (tmp_path / "out").exists()
 
 
-def run_into_a_closed_pipe(argv, cwd, buffered, stream):
-    """Run the CLI in a child whose stream ("stdout" or "stderr") is a pipe with its read end closed first.
+def run_into(fd, argv, cwd, buffered, stream):
+    """Run the CLI in a child whose stream ("stdout" or "stderr") is the file descriptor fd.
 
     The other stream is captured. Buffered is CI's setting; PYTHONUNBUFFERED=1 the other.
     """
@@ -795,11 +795,16 @@ def run_into_a_closed_pipe(argv, cwd, buffered, stream):
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: fd}
+    return subprocess.run([sys.executable, "-m", "longtail.cli", *argv], **streams, env=env, cwd=cwd, text=True)
+
+
+def run_into_a_closed_pipe(argv, cwd, buffered, stream):
+    """``run_into`` a pipe with its read end closed first."""
     read, write = os.pipe()
     os.close(read)
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
     try:
-        return subprocess.run([sys.executable, "-m", "longtail.cli", *argv], **streams, env=env, cwd=cwd, text=True)
+        return run_into(write, argv, cwd, buffered, stream)
     finally:
         os.close(write)
 
@@ -822,14 +827,26 @@ def test_a_closed_stdout_exits_3_silently(tmp_path, command, buffered):
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_full_stdout_exits_3_with_one_error_line(tmp_path, buffered):
+    # the result stayed in stdout's buffer after its failed flush, so the exit
+    # flush failed too: "Exception ignored ... OSError" and exit 120 buffered
+    argv = ["optimize", "--A", "10", "--B", "1", "--mu", "0.25"]
+    with open("/dev/full", "w") as full:
+        finished = run_into(full.fileno(), argv, tmp_path, buffered, "stdout")
+    assert (finished.returncode, finished.stderr) == (3, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv,status",
     [
         (["fit", "--input", "nope.csv"], 3),
+        # argparse's usage error stayed in stderr's buffer for the exit flush: exit 120 buffered
+        (["simulate", "--n", "x"], 2),
         # capped: its warning is the only line on stderr, and its JSON goes to stdout
         (["optimize", "--A", "1e4", "--B", "1", "--mu", "0.01", "--alpha", "0.5", "--y-max", "1000"], 0),
     ],
-    ids=["fit-error", "optimize-capped"],
+    ids=["fit-error", "usage-error", "optimize-capped"],
 )
 def test_a_closed_stderr_keeps_the_exit_code_and_the_result(tmp_path, argv, status, buffered):
     # the error line's BrokenPipeError escaped main's handler (exit 1 unbuffered,
