@@ -49,16 +49,14 @@ def fit_alpha(samples: Sequence[float] | np.ndarray, s_min: float = 1) -> PowerL
     as continuous values; for heavy-tailed data spanning several decades the
     approximation error is small compared to the sampling error.
 
-    Memory: ``samples`` is released once counted (a list handed straight in,
-    as the CLI's fit does, is freed then). ``math.log`` is taken once per
-    distinct value and count x log summed with ``math.fsum``, which rounds
-    once, so no float array is made, a caller's array is never written, and
-    the sum's bits do not depend on numpy's choice of kernel for the CPU.
+    ``math.log`` is taken once per distinct value and count x log summed
+    with ``math.fsum``, which rounds once, so no float array is made, a
+    caller's array is never written, and the sum's bits do not depend on
+    numpy's choice of kernel for the CPU.
     """
     if not 1 <= s_min < math.inf:
         raise ValueError(f"s_min must be finite and >= 1, got {s_min}")
     counts = Counter(samples.tolist() if isinstance(samples, np.ndarray) else samples)
-    del samples
     try:
         log_sum = math.fsum(count * math.log(float(v) / s_min) for v, count in counts.items() if v >= s_min)
     except OverflowError:

@@ -3,8 +3,9 @@
 Every file is read and written by ``chartdata``, whose ``SCHEMAS`` table
 holds each CSV file's versioned header (see also the README). Handlers only
 compute; ``main`` prints their JSON or writes their files, with a
-manifest.json echoing the resolved configuration, seed and tool version
-needed to reproduce the outputs bit-exactly.
+manifest.json recording the tool version and, as ``config``, every flag the
+run read but --out-dir, keyed by dest: given as --config, it reruns the run
+bit-exactly.
 
 Every command and flag is declared once, in COMMANDS; that table builds the
 argument parser, resolves values (built-in default, per preset for --mu-grid,
@@ -68,7 +69,7 @@ def _bind(*names: str) -> None:
             __getattr__(name)
 
 
-def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict, started: float) -> None:
+def _write_outputs(out_dir: Path, command: str, config: dict, files: dict, started: float) -> None:
     """Write the files (see ``chartdata.write_files``), then manifest.json, the completion marker.
 
     The caller holds out_dir's lock (see ``_lock``) through the whole write.
@@ -88,7 +89,6 @@ def _write_outputs(out_dir: Path, command: str, config: dict, seed, files: dict,
         "python_version": platform.python_version(),
         "command": command,
         "config": config,
-        "seed": seed,
         "outputs": sorted(files),
         "schemas": {name: SCHEMAS[name] for name in sorted(files) if name in SCHEMAS},
         "duration_seconds": written - started,
@@ -150,10 +150,10 @@ def _write(stream, text: str) -> None:
         raise
 
 
-def _stderr(message: str, end: str = "\n") -> None:
-    """Print message on stderr. A closed stderr loses only the message, not the exit code or the result."""
+def _try_write(stream, text: str) -> None:
+    """``_write``, except that a failed write loses only the text, not the exit code or the result."""
     try:
-        _write(sys.stderr, message + end)
+        _write(stream, text)
     except OSError:
         pass
 
@@ -169,12 +169,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(a) -> tuple:
+def cmd_simulate(a) -> dict:
     _bind("SimConfig", "run", "turnover")
-    config = SimConfig(a.n, a.mu, a.steps, a.seed)
-    cumulative, lists = run(config, y=a.y)
+    cumulative, lists = run(SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, seed=a.seed), y=a.y)
     stats = turnover(lists)
-    return "simulate", {**asdict(config), "y": a.y}, config.seed, {  # (command, config, seed, files)
+    return {
         "cumulative_sales.csv": enumerate(cumulative.tolist()),
         "top_products.csv": ((period, pid) for period, ids in enumerate(lists) for pid in ids),
         "turnover.csv": enumerate(stats.z_per_period, start=1),
@@ -213,19 +212,18 @@ def cmd_optimize(a) -> dict:
     params = InventoryParams(profit_per_item=a.A, turnover_cost=a.B, mu=a.mu, alpha=a.alpha, y_max=a.y_max)
     result = bruteforce_stock(params)
     if result.capped:
-        _stderr(f"warning: --y-max: objective still increasing at y_max={a.y_max}; result is capped")
+        _try_write(sys.stderr, f"warning: --y-max: objective still increasing at y_max={a.y_max}; result is capped\n")
     return asdict(result)
 
 
 # ---------------------------------------------------------------------------
-# reproduce: each preset states its config once, passes it to the library
-# and returns it for the manifest with the files to write, so a failure
-# while computing leaves no output directory
+# reproduce: each preset passes its flags to the library and returns the
+# files to write, so a failure while computing leaves no output directory
 
 def _sales_distribution(a):
     _bind("run_sales_distribution")
-    config = {"targets": a.targets, "n_agents": a.n, "steps": a.steps, "replicates": a.runs}
-    results = run_sales_distribution(**config, master_seed=a.seed)
+    results = run_sales_distribution(targets=a.targets, n_agents=a.n, steps=a.steps, replicates=a.runs,
+                                     master_seed=a.seed)
     plot_series = []
     for r in results:
         points = [
@@ -235,7 +233,7 @@ def _sales_distribution(a):
         ]
         label = f"N*mu = {r.n_mu:g}" + (" (winner-take-all)" if r.winner_take_all else "")
         plot_series.append(Series(label=label, x=[p[0] for p in points], y=[p[1] for p in points], line=True))
-    return config, {
+    return {
         "sales_histogram.csv": ((r.n_mu, r.mu, lo, hi, count) for r in results for lo, hi, count in r.histogram),
         "sales_samples.csv": ((r.n_mu, int(s)) for r in results for s in r.samples),
         "exponent_fits.json": [
@@ -259,8 +257,8 @@ def _sales_distribution(a):
 
 def _turnover_sweep(a):
     _bind("run_turnover_sweep", "per_mu_stats", "expected_turnover")
-    config = {"n_grid": a.n_grid, "mu_grid": a.mu_grid, "runs_per_cell": a.runs, "steps": a.steps, "y": a.y}
-    cells, fit = run_turnover_sweep(**config, master_seed=a.seed, workers=a.workers)
+    cells, fit = run_turnover_sweep(n_grid=a.n_grid, mu_grid=a.mu_grid, runs_per_cell=a.runs, steps=a.steps, y=a.y,
+                                    master_seed=a.seed, workers=a.workers)
     fit_x = [min(a.mu_grid), max(a.mu_grid)]
     fit_y = [math.exp(fit.intercept + fit.slope * math.log(m)) for m in fit_x]
     reference_y = [expected_turnover(a.y, m) for m in fit_x]
@@ -274,7 +272,7 @@ def _turnover_sweep(a):
         x_label="innovation fraction mu",
         y_label="mean turnover z_bar (items/period)",
     )
-    return config, {
+    return {
         "turnover_sweep.csv": ((c.n_agents, c.mu, c.z_bar, c.z_std) for c in cells),
         "turnover_by_mu.csv": per_mu_stats(cells),
         "turnover_fit.json": asdict(fit),
@@ -284,13 +282,12 @@ def _turnover_sweep(a):
 
 def _inventory_curves(a):
     _bind("inventory_curve")
-    config = {"alpha": a.alpha, "ab_ratios": a.ab_ratios, "mu_grid": a.mu_grid}
-    points = inventory_curve(**config)
+    points = inventory_curve(alpha=a.alpha, ab_ratios=a.ab_ratios, mu_grid=a.mu_grid)
     series = []
     for ab in a.ab_ratios:
         curve = [p for p in points if p.ab_ratio == ab]
         series.append(Series(label=f"A/B = {ab:g}", x=[p.mu for p in curve], y=[p.y_value for p in curve], line=True))
-    return config, {
+    return {
         "inventory_curves.csv": ((p.ab_ratio, p.mu, p.y_value, p.y_floor) for p in points),
         "inventory_curves.svg": loglog_svg(
             series,
@@ -304,10 +301,9 @@ def _inventory_curves(a):
 PRESETS = {"2left": _sales_distribution, "2right": _turnover_sweep, "3": _inventory_curves}
 
 
-def cmd_reproduce(a) -> tuple:
+def cmd_reproduce(a) -> dict:
     _bind("Series", "loglog_svg")  # each preset binds its numeric names
-    config, files = PRESETS[a.figure](a)
-    return f"reproduce {a.figure}", config, a.seed, files
+    return PRESETS[a.figure](a)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +516,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     try:
         passed = vars(_build_parser().parse_args(argv))
-    except SystemExit as exc:
-        _stderr("", end="")  # argparse ignores a failed write of its usage error, which stays in stderr's buffer
+    except SystemExit as exc:  # argparse ignores a failed write of help, version or a usage error: it stays buffered
+        for stream in (sys.stdout, sys.stderr):
+            _try_write(stream, "")
         return exc.code if isinstance(exc.code, int) else 2
     name = passed.pop("command")
     a = argparse.Namespace(**passed)  # until resolved, an error is named from the flags as passed
@@ -535,11 +532,13 @@ def main(argv=None) -> int:
         try:
             started = time.monotonic()
             _bind("asdict", "SCHEMAS", "write_files")  # before the handler binds numpy: see LAZY
-            outputs = COMMANDS[name].handler(a)
+            files = COMMANDS[name].handler(a)
             if lock is None:  # two first runs into one new directory meet only here
                 a.out_dir.mkdir(parents=True, exist_ok=True)
                 lock = _lock(a.out_dir)
-            _write_outputs(a.out_dir, *outputs, started)
+            config = {f.dest: getattr(a, f.dest) for f in COMMANDS[name].flags  # as --config, reruns the run
+                      if f.name != "--out-dir" and (not f.figures or a.figure in f.figures)}
+            _write_outputs(a.out_dir, name, config, files, started)
         finally:
             if lock is not None:
                 os.close(lock)  # releases the lock
@@ -547,7 +546,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the result met a closed stdout, as after `| head`: exit 3, silently
         return 3
     except (ValueError, OSError) as exc:
-        _stderr(f"error: {_flagged(exc, name, vars(a))}")
+        _try_write(sys.stderr, f"error: {_flagged(exc, name, vars(a))}\n")
         return 4 if isinstance(exc, InsufficientDataError) else 2 if isinstance(exc, ValueError) else 3
 
 

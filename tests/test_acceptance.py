@@ -58,7 +58,7 @@ def sweep(tmp_path_factory):
             for row in csv.DictReader(fh)
         ]
     fit = LogLogFit(**json.loads((out / "turnover_fit.json").read_text()))
-    print(f"\n[turnover sweep: {len(cells)} cells x {config['runs_per_cell']} runs in {time.monotonic() - started:.1f}s]")
+    print(f"\n[turnover sweep: {len(cells)} cells x {config['runs']} runs in {time.monotonic() - started:.1f}s]")
     return cells, fit, config["y"]
 
 

@@ -56,8 +56,9 @@ def test_simulate_writes_expected_files(tmp_path):
     assert names == {"cumulative_sales.csv", "top_products.csv", "turnover.csv", "manifest.json"}
 
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 7
-    assert manifest["config"]["n_agents"] == 200
+    assert manifest["command"] == "simulate"
+    assert manifest["config"] == {"n": 200, "mu": 0.01, "steps": 50, "seed": 7, "y": 5}
+    assert "seed" not in manifest  # it is config["seed"]
     assert manifest["version"]
     assert set(manifest["outputs"]) == names - {"manifest.json"}
     assert set(manifest["timings"]) == {"compute_s", "write_s"}
@@ -159,7 +160,7 @@ def test_a_second_writer_of_an_out_dir_exits_3_and_leaves_the_first_run_whole(tm
     err = capsys.readouterr().err
     assert err == "error: --out-dir: [Errno 11] another run is writing this directory: 'out'\n", err
     manifest = json.loads(Path("out/manifest.json").read_text())
-    assert manifest["seed"] == 0
+    assert manifest["config"]["seed"] == 0
     assert sorted(p.name for p in Path("out").iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
 
 
@@ -189,7 +190,7 @@ def test_a_second_writer_of_an_existing_out_dir_exits_3_before_its_compute(tmp_p
     assert seeds == [0]  # the second writer's handler never ran
     err = capsys.readouterr().err
     assert err == "error: --out-dir: [Errno 11] another run is writing this directory: 'out'\n", err
-    assert json.loads(Path("out/manifest.json").read_text())["seed"] == 0
+    assert json.loads(Path("out/manifest.json").read_text())["config"]["seed"] == 0
     # a compute that fails releases the lock too
     assert run_cli(*SIM_ARGS, "--mu", 2, "--seed", 2, "--out-dir", "out") == 2
     assert run_cli(*SIM_ARGS, "--seed", 3, "--out-dir", "out") == 0
@@ -837,6 +838,26 @@ def test_a_full_stdout_exits_3_with_one_error_line(tmp_path, buffered):
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("into", ["closed-pipe", "full-device"])
+@pytest.mark.parametrize(
+    "argv,status",
+    [(["--help"], 0), (["--version"], 0), (["simulate", "--help"], 0), (["simulate", "--n", "x"], 2)],
+    ids=["help", "version", "simulate-help", "usage-error"],
+)
+def test_argparse_keeps_its_exit_code_into_a_closed_or_full_stdout(tmp_path, argv, status, into, buffered):
+    # --help and --version exited 120 buffered, with "Exception ignored ...
+    # BrokenPipeError" (or OSError): argparse ignores a failed write of its text,
+    # which stayed in stdout's buffer for the exit flush. A usage error keeps its 2
+    if into == "closed-pipe":
+        finished = run_into_a_closed_pipe(argv, tmp_path, buffered, "stdout")
+    else:
+        with open("/dev/full", "w") as full:
+            finished = run_into(full.fileno(), argv, tmp_path, buffered, "stdout")
+    assert finished.returncode == status
+    assert finished.stderr.startswith("usage: longtail simulate") if status else finished.stderr == ""
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv,status",
     [
@@ -977,7 +998,7 @@ def test_config_file_supplies_required_values(tmp_path):
     config.write_text(json.dumps({"n": 80, "mu": 0.05, "steps": 20, "out-dir": str(tmp_path / "out")}))
     assert run_cli("simulate", "--config", config) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["config"]["n_agents"] == 80
+    assert manifest["config"]["n"] == 80
     assert manifest["config"]["mu"] == 0.05
 
 
@@ -988,7 +1009,33 @@ def test_flags_override_config_file(tmp_path):
     assert run_cli("simulate", "--config", config, "--mu", 0.5, "--out-dir", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["mu"] == 0.5  # flag wins over config
-    assert manifest["config"]["n_agents"] == 80  # config wins over built-ins
+    assert manifest["config"]["n"] == 80  # config wins over built-ins
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", 300, "--mu", 0.01, "--steps", 200, "--seed", 7],
+        ["reproduce", "--figure", "2left", "--seed", 3, "--targets", "0.5,2", "--n", 100, "--steps", 150, "--runs", 2],
+        ["reproduce", "--figure", "2right", "--seed", 5, "--n-grid", "60,120", "--mu-grid", "0.01,0.02,0.05",
+         "--runs", 2, "--steps", 80, "--y", 4],
+        ["reproduce", "--figure", "3"],
+    ],
+    ids=["simulate", "2left", "2right", "3"],
+)
+def test_a_manifests_config_given_as_config_reruns_the_run(tmp_path, argv):
+    # the manifest recorded the library's parameter names (n_agents,
+    # replicates, runs_per_cell), which --config refused as unknown keys
+    assert run_cli(*argv, "--out-dir", tmp_path / "first") == 0
+    first = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(first["config"]))
+    assert run_cli(argv[0], "--config", config, "--out-dir", tmp_path / "again") == 0
+    again = json.loads((tmp_path / "again" / "manifest.json").read_text())
+    assert again["config"] == first["config"]
+    assert again["outputs"] == first["outputs"]
+    for name in first["outputs"]:  # every data file and plot
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes(), name
 
 
 def test_config_unknown_key_exit_2(tmp_path, capsys):
@@ -1048,21 +1095,22 @@ def test_missing_required_flag_exit_2(capsys):
             # strings converted by the flag's type; mu: flag over config; seed: config over default
             {"n": "80", "mu": 0.05, "steps": 20, "seed": "4"},
             ["--mu", "0.5"],
-            {"n_agents": 80, "mu": 0.5, "steps": 20, "seed": 4, "y": 5},
+            {"n": 80, "mu": 0.5, "steps": 20, "seed": 4, "y": 5},
         ),
         (
             ["reproduce", "--figure", "2right"],
             # comma string and JSON list both become grids; runs: flag over config
             {"mu-grid": "0.01,0.02,0.05", "n_grid": [60, 120], "steps": 30, "runs": 5, "seed": "4"},
             ["--runs", "2"],
-            {"n_grid": [60, 120], "mu_grid": [0.01, 0.02, 0.05], "runs_per_cell": 2, "steps": 30, "y": 5},
+            {"figure": "2right", "seed": 4, "steps": 30, "runs": 2, "y": 5, "n_grid": [60, 120],
+             "mu_grid": [0.01, 0.02, 0.05], "workers": 1},
         ),
         (
             ["simulate"],
             # a JSON integer for a float flag becomes a float, as the flag's text would
             {"n": 80, "mu": 1, "steps": 20},
             [],
-            {"n_agents": 80, "mu": 1.0, "steps": 20, "seed": 0, "y": 5},
+            {"n": 80, "mu": 1.0, "steps": 20, "seed": 0, "y": 5},
         ),
     ],
 )
@@ -1073,7 +1121,6 @@ def test_config_values_are_typed_and_ranked(tmp_path, command, config, flags, ex
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     # compared as JSON text, so 80 and "80" or 2 and 2.0 differ
     assert json.dumps(manifest["config"], sort_keys=True) == json.dumps(expected, sort_keys=True)
-    assert manifest["seed"] == int(config.get("seed", 0))
 
 
 @pytest.mark.parametrize(

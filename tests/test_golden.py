@@ -4,7 +4,7 @@ Covers every data file, plot and manifest (minus its wall-clock duration
 and the numpy and Python versions) of ``simulate`` and the three
 ``reproduce`` presets, plus the JSON that ``fit``, ``turnover`` and
 ``optimize`` print. A changed byte anywhere, in an output or in the
-resolved configuration a manifest echoes, fails here.
+flags a manifest records, fails here.
 
 The simulator's bytes depend on numpy's PCG64 and ``Generator.integers``
 streams; the digests were recorded with numpy 2.4.6 on CPython 3.11.
@@ -55,13 +55,13 @@ GOLDEN = {
     },
     "reproduce-2left": {
         "exponent_fits.json": "213ca933a13948c6038b223c296606756c64098e13450482cf70b12a45fadfba",
-        "manifest.json": "056aed9c2ee539ab991d837d5e365e3c61ccda51aba7e424c02f6f125e6764c0",
+        "manifest.json": "4d8c89c215fa59105c248bea046216ba2725ad12592f181660295f19d929efec",
         "sales_distribution.svg": "8cd49562fad566d5e09da54cd954ef2441200c77a8106ba4850c1dff67947d43",
         "sales_histogram.csv": "4abb131cb19576223b1fb400d9e796803f5f920e00c7df07caa58bfc9717a859",
         "sales_samples.csv": "f2d1e33ec1c66d90bae946fea54a58f4a3222d671d966985bd00c908b96b1296",
     },
     "reproduce-2right": {
-        "manifest.json": "b0388e54ae967f1997316394b98d295e0668c6731b070178b62b5cde4132d197",
+        "manifest.json": "1ddfb0e23ce1adc39e17d45fdee6fdfd8730c3e5f0f6631e6002b4761abd26c1",
         "turnover_by_mu.csv": "792dd66ef0083a3e721c0809042f540081c916fcae76b973fc110af0be5c0bbd",
         "turnover_fit.json": "f05d98564d3a5cacddce97fddc51d5675c4ddec5627a01033f77393e0c0f8160",
         "turnover_sweep.csv": "a0880a2ea6f14b1cc3917b8f0d094e3aaa783c8c338f8eb01b6373323edcfa3e",
@@ -70,16 +70,16 @@ GOLDEN = {
     "reproduce-3": {
         "inventory_curves.csv": "4b13cc399afdf959f37ad5bd86c2ecb9ab028ae2581ced0313707b56b237e8aa",
         "inventory_curves.svg": "958a42e6b382880705abcce4fea9bd24be59ea89b6b77a2b31a56f53d8616e00",
-        "manifest.json": "0fbe5c513f872f2544e6daead6e704d9c23aa19b130b73cc4cce2f60fbdcb122",
+        "manifest.json": "51aa84bb1665829cbf12a3a42a9acfd8d5f9ad9fca10eb932063c81b9d843077",
     },
     "reproduce-3-defaults": {
         "inventory_curves.csv": "bddc38d26d56574142dc4150408f64a72d02b7668742220d87c0e690ae351649",
         "inventory_curves.svg": "78baa9d8f3c78b5ad4e037f38797465adc6cb3c2e42824ac80d30488fadbe55b",
-        "manifest.json": "75dbaef19a1006c7918eda0ea94c1498f7c82128b47678cfd69b8350d030ff4c",
+        "manifest.json": "156f91f5de0e6c2bd549af974ff4b350d706c9e8a2338d0d2da4b6d78550ff87",
     },
     "simulate": {
         "cumulative_sales.csv": "a410d5e1d56c6670c70da456d6c9af1e80b1313d8ee29ca0e9314fe3d40786cc",
-        "manifest.json": "036a95d877a6d12324cf7af6152ba24e3805c45c5333c7ca6d668e9cf0629fa7",
+        "manifest.json": "21bedbcb0b859a992e18c8c99fb641848381910a1aebf145a517817d54ec9c15",
         "top_products.csv": "f0ef5841c275395da1974e5f34d7dcf1173d90a91682afa1d13e46d49fa127c1",
         "turnover.csv": "d8c12ec9d4586412c4ae86c240b10931ad13d32e8f296b81b41ceafcac24a4d6",
     },
