@@ -2,19 +2,19 @@
 
 Every file is read and written by ``chartdata``, whose ``SCHEMAS`` table
 holds each CSV file's versioned header (see also the README). Handlers only
-compute; ``main`` prints their JSON or writes their files, with a
-manifest.json recording the tool version and, as ``config``, every flag the
-run read but --out-dir, keyed by dest: given as --config, it reruns the run
-bit-exactly.
+compute: ``main`` calls one with its run's ``config`` (every flag the run
+reads but --out-dir, keyed by dest) as keyword arguments, then prints its JSON
+or writes its files and a manifest.json recording the tool version and that
+same ``config``, which, given as --config, reruns the run bit-exactly.
 
 Every command and flag is declared once, in COMMANDS; that table builds the
 argument parser, resolves values (built-in default, per preset for --mu-grid,
-then --config, then the flag: each is text read by the flag's type), checks
-required flags and that the reproduce preset reads every flag given, and names
-the flag behind an error: for a validation error, the flag whose dest or alias
-field starts the message; for an I/O error, the Path-typed flag (--input,
---config, --out-dir) whose path holds the file. One run at a time writes an
---out-dir.
+then --config, then the flag: each is text read by the flag's type), refuses
+a missing flag, then an unknown --figure, then a flag the preset does not read
+(all before --out-dir is checked, and that before the library's own checks),
+and names the flag behind an error: for a validation error, the flag whose
+dest or alias field starts the message; for an I/O error, the Path-typed flag
+(--input, --config, --out-dir) whose path holds the file.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -169,9 +169,9 @@ def _int_list(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(a) -> dict:
+def cmd_simulate(*, n, mu, steps, seed, y) -> dict:
     _bind("SimConfig", "run", "turnover")
-    cumulative, lists = run(SimConfig(n_agents=a.n, mu=a.mu, steps=a.steps, seed=a.seed), y=a.y)
+    cumulative, lists = run(SimConfig(n_agents=n, mu=mu, steps=steps, seed=seed), y=y)
     stats = turnover(lists)
     return {
         "cumulative_sales.csv": enumerate(cumulative.tolist()),
@@ -183,47 +183,46 @@ def cmd_simulate(a) -> dict:
 # ---------------------------------------------------------------------------
 # fit
 
-def cmd_fit(a) -> dict:
+def cmd_fit(*, input, s_min) -> dict:
     _bind("read_sales_column", "fit_alpha")
-    return asdict(fit_alpha(read_sales_column(a.input), s_min=a.s_min))
+    return asdict(fit_alpha(read_sales_column(input), s_min=s_min))
 
 
 # ---------------------------------------------------------------------------
 # turnover
 
-def cmd_turnover(a) -> dict:
+def cmd_turnover(*, input, y) -> dict:
     _bind("load_chart", "turnover", "calibrate_mu")
-    lists = load_chart(a.input)
-    if a.y < 1:
-        raise ValueError(f"y must be >= 1, got {a.y}")
+    lists = load_chart(input)
+    if y < 1:
+        raise ValueError(f"y must be >= 1, got {y}")
     shortest = min(len(l) for l in lists)
-    if a.y > shortest:
-        raise ValueError(f"y {a.y} exceeds the shortest per-period list length ({shortest})")
-    stats = turnover(l[: a.y] for l in lists)  # streamed: no list of every period's prefix
-    fraction = stats.z_bar / a.y  # a.y <= shortest < 2**53: the correctly rounded quotient
+    if y > shortest:
+        raise ValueError(f"y {y} exceeds the shortest per-period list length ({shortest})")
+    stats = turnover(l[:y] for l in lists)  # streamed: no list of every period's prefix
+    fraction = stats.z_bar / y  # y <= shortest < 2**53: the correctly rounded quotient
     return {**asdict(stats), "as_fraction": fraction, "mu_hat": calibrate_mu(fraction)}
 
 
 # ---------------------------------------------------------------------------
 # optimize
 
-def cmd_optimize(a) -> dict:
+def cmd_optimize(*, A, B, mu, alpha, y_max) -> dict:
     _bind("InventoryParams", "bruteforce_stock")
-    params = InventoryParams(profit_per_item=a.A, turnover_cost=a.B, mu=a.mu, alpha=a.alpha, y_max=a.y_max)
+    params = InventoryParams(profit_per_item=A, turnover_cost=B, mu=mu, alpha=alpha, y_max=y_max)
     result = bruteforce_stock(params)
     if result.capped:
-        _try_write(sys.stderr, f"warning: --y-max: objective still increasing at y_max={a.y_max}; result is capped\n")
+        _try_write(sys.stderr, f"warning: --y-max: objective still increasing at y_max={y_max}; result is capped\n")
     return asdict(result)
 
 
 # ---------------------------------------------------------------------------
-# reproduce: each preset passes its flags to the library and returns the
+# reproduce: each preset takes the flags whose figures list it and returns the
 # files to write, so a failure while computing leaves no output directory
 
-def _sales_distribution(a):
+def _sales_distribution(*, seed, steps, runs, n, targets) -> dict:
     _bind("run_sales_distribution")
-    results = run_sales_distribution(targets=a.targets, n_agents=a.n, steps=a.steps, replicates=a.runs,
-                                     master_seed=a.seed)
+    results = run_sales_distribution(targets=targets, n_agents=n, steps=steps, replicates=runs, master_seed=seed)
     plot_series = []
     for r in results:
         points = [
@@ -255,20 +254,20 @@ def _sales_distribution(a):
     }
 
 
-def _turnover_sweep(a):
+def _turnover_sweep(*, seed, steps, runs, y, n_grid, mu_grid, workers) -> dict:
     _bind("run_turnover_sweep", "per_mu_stats", "expected_turnover")
-    cells, fit = run_turnover_sweep(n_grid=a.n_grid, mu_grid=a.mu_grid, runs_per_cell=a.runs, steps=a.steps, y=a.y,
-                                    master_seed=a.seed, workers=a.workers)
-    fit_x = [min(a.mu_grid), max(a.mu_grid)]
+    cells, fit = run_turnover_sweep(n_grid=n_grid, mu_grid=mu_grid, runs_per_cell=runs, steps=steps, y=y,
+                                    master_seed=seed, workers=workers)
+    fit_x = [min(mu_grid), max(mu_grid)]
     fit_y = [math.exp(fit.intercept + fit.slope * math.log(m)) for m in fit_x]
-    reference_y = [expected_turnover(a.y, m) for m in fit_x]
+    reference_y = [expected_turnover(y, m) for m in fit_x]
     svg = loglog_svg(
         [
             Series(label="measured cells", x=[c.mu for c in cells], y=[c.z_bar for c in cells]),
             Series(label=f"fit slope {fit.slope:.3f}", x=fit_x, y=fit_y, marker=False, line=True),
             Series(label="y*sqrt(mu)", x=fit_x, y=reference_y, marker=False, line=True),
         ],
-        title=f"Top-{a.y} turnover vs innovation fraction",
+        title=f"Top-{y} turnover vs innovation fraction",
         x_label="innovation fraction mu",
         y_label="mean turnover z_bar (items/period)",
     )
@@ -280,11 +279,11 @@ def _turnover_sweep(a):
     }
 
 
-def _inventory_curves(a):
+def _inventory_curves(*, mu_grid, ab_ratios, alpha) -> dict:
     _bind("inventory_curve")
-    points = inventory_curve(alpha=a.alpha, ab_ratios=a.ab_ratios, mu_grid=a.mu_grid)
+    points = inventory_curve(alpha=alpha, ab_ratios=ab_ratios, mu_grid=mu_grid)
     series = []
-    for ab in a.ab_ratios:
+    for ab in ab_ratios:
         curve = [p for p in points if p.ab_ratio == ab]
         series.append(Series(label=f"A/B = {ab:g}", x=[p.mu for p in curve], y=[p.y_value for p in curve], line=True))
     return {
@@ -301,9 +300,9 @@ def _inventory_curves(a):
 PRESETS = {"2left": _sales_distribution, "2right": _turnover_sweep, "3": _inventory_curves}
 
 
-def cmd_reproduce(a) -> dict:
+def cmd_reproduce(*, figure, **flags) -> dict:
     _bind("Series", "loglog_svg")  # each preset binds its numeric names
-    return PRESETS[a.figure](a)
+    return PRESETS[figure](**flags)
 
 
 # ---------------------------------------------------------------------------
@@ -468,29 +467,29 @@ def _read_config(path: Path, name: str) -> dict:
     return values
 
 
-def _resolve(name: str, passed: dict) -> argparse.Namespace:
-    """Every flag's value: built-in default, then --config, then the flag, each read by the flag's type.
+def _resolve(name: str, passed: dict) -> dict:
+    """The value of each flag the run reads, by dest: built-in default, then --config, then the flag, each read
+    by the flag's type. reproduce reads --figure, --out-dir and the flags whose figures list the preset.
 
-    A reproduce flag that the chosen preset does not read is refused, passed
-    or set in --config, so that no value is silently ignored.
+    Refused in this order: a missing flag, an unknown --figure, then a flag that the preset does not read,
+    passed or set in --config, so that no value is silently ignored.
     """
     flags = COMMANDS[name].flags
-    given = _read_config(passed.pop("config"), name) if "config" in passed else {}
+    given = _read_config(passed["config"], name) if "config" in passed else {}
     given.update(passed)
-    figure = given.get("figure")
-    texts = [f.default.get(figure) if isinstance(f.default, dict) else f.default for f in flags]
-    values = {f.dest: f.type(text) if isinstance(text, str) else text for f, text in zip(flags, texts)} | given
-    missing = [flag.name for flag in flags if values[flag.dest] is REQUIRED]
+    missing = [flag.name for flag in flags if flag.default is REQUIRED and flag.dest not in given]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} (pass the flag or set it in --config)")
-    if figure is not None:
-        if figure not in PRESETS:
-            raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {figure!r}")
-        unread = [flag.name for flag in flags if flag.figures and figure not in flag.figures and flag.dest in given]
-        if unread:
-            reads = [flag.name for flag in flags if figure in flag.figures]
-            raise ValueError(f"{', '.join(unread)}: not read by --figure {figure}, which reads {' '.join(reads)}")
-    return argparse.Namespace(**values)
+    figure = given.get("figure")
+    if figure is not None and figure not in PRESETS:
+        raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {figure!r}")
+    unread = [flag.name for flag in flags if flag.figures and figure not in flag.figures and flag.dest in given]
+    if unread:
+        reads = [flag.name for flag in flags if figure in flag.figures]
+        raise ValueError(f"{', '.join(unread)}: not read by --figure {figure}, which reads {' '.join(reads)}")
+    read = [flag for flag in flags if not flag.figures or figure in flag.figures]
+    texts = [flag.default[figure] if isinstance(flag.default, dict) else flag.default for flag in read]
+    return {flag.dest: given[flag.dest] if flag.dest in given else flag.type(text) for flag, text in zip(read, texts)}
 
 
 def _flagged(exc: Exception, name: str, values: dict) -> str:
@@ -521,24 +520,24 @@ def main(argv=None) -> int:
             _try_write(stream, "")
         return exc.code if isinstance(exc.code, int) else 2
     name = passed.pop("command")
-    a = argparse.Namespace(**passed)  # until resolved, an error is named from the flags as passed
+    values = passed  # until resolved, an error is named from the flags as passed
     try:
-        a = _resolve(name, passed)
-        if not hasattr(a, "out_dir"):
+        values = _resolve(name, passed)
+        config = dict(values)  # as --config, reruns the run
+        out_dir = config.pop("out_dir", None)
+        if out_dir is None:
             _bind("asdict")
-            _write(sys.stdout, json.dumps(COMMANDS[name].handler(a), indent=2, sort_keys=True) + "\n")
+            _write(sys.stdout, json.dumps(COMMANDS[name].handler(**config), indent=2, sort_keys=True) + "\n")
             return 0
-        lock = _check_out_dir(a.out_dir)
+        lock = _check_out_dir(out_dir)
         try:
             started = time.monotonic()
             _bind("asdict", "SCHEMAS", "write_files")  # before the handler binds numpy: see LAZY
-            files = COMMANDS[name].handler(a)
+            files = COMMANDS[name].handler(**config)
             if lock is None:  # two first runs into one new directory meet only here
-                a.out_dir.mkdir(parents=True, exist_ok=True)
-                lock = _lock(a.out_dir)
-            config = {f.dest: getattr(a, f.dest) for f in COMMANDS[name].flags  # as --config, reruns the run
-                      if f.name != "--out-dir" and (not f.figures or a.figure in f.figures)}
-            _write_outputs(a.out_dir, name, config, files, started)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                lock = _lock(out_dir)
+            _write_outputs(out_dir, name, config, files, started)
         finally:
             if lock is not None:
                 os.close(lock)  # releases the lock
@@ -546,7 +545,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the result met a closed stdout, as after `| head`: exit 3, silently
         return 3
     except (ValueError, OSError) as exc:
-        _try_write(sys.stderr, f"error: {_flagged(exc, name, vars(a))}\n")
+        _try_write(sys.stderr, f"error: {_flagged(exc, name, values)}\n")
         return 4 if isinstance(exc, InsufficientDataError) else 2 if isinstance(exc, ValueError) else 3
 
 

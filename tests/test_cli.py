@@ -1,7 +1,6 @@
 """CLI surface: subcommands, output files, exit codes, determinism."""
 
 import argparse
-import ast
 import concurrent.futures
 import contextlib
 import csv
@@ -17,7 +16,6 @@ import platform
 import subprocess
 import sys
 import tempfile
-import textwrap
 import threading
 import time
 from pathlib import Path
@@ -169,12 +167,12 @@ def test_a_second_writer_of_an_existing_out_dir_exits_3_before_its_compute(tmp_p
     # no longer costs the second run its whole compute
     handler, computing, release, seeds = COMMANDS["simulate"].handler, threading.Event(), threading.Event(), []
 
-    def held(a):
-        seeds.append(a.seed)
+    def held(**flags):
+        seeds.append(flags["seed"])
         if len(seeds) == 1:  # the first writer's compute waits for the second writer
             computing.set()
             assert release.wait(timeout=60)
-        return handler(a)
+        return handler(**flags)
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(COMMANDS, "simulate", COMMANDS["simulate"]._replace(handler=held))
@@ -203,9 +201,9 @@ def test_a_dangling_link_out_dir_exits_3_before_its_compute(tmp_path, capsys, mo
     # the handler ran, then the mkdir of the link failed with "File exists"
     handler, calls = COMMANDS["simulate"].handler, []
 
-    def counted(a):
-        calls.append(a)
-        return handler(a)
+    def counted(**flags):
+        calls.append(flags)
+        return handler(**flags)
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(COMMANDS, "simulate", COMMANDS["simulate"]._replace(handler=counted))
@@ -701,21 +699,50 @@ def test_a_flag_the_preset_does_not_read_exits_2_before_the_out_dir_and_the_comp
     assert err.startswith(f"error: {unread}: not read by --figure "), err
 
 
+def _keywords(function) -> tuple[set[str], bool]:
+    """The names of function's keyword-only parameters, and whether it takes **keywords; it takes nothing else."""
+    parameters = inspect.signature(function).parameters.values()
+    assert {p.kind for p in parameters} <= {inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.VAR_KEYWORD}
+    return {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}, any(p.kind is p.VAR_KEYWORD for p in parameters)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_handler_takes_its_commands_flags_as_keywords(name):
+    # main calls the handler with the flags the run read, --out-dir excepted;
+    # reproduce takes --figure and hands the rest to the preset
+    flags = COMMANDS[name].flags
+    assert _keywords(COMMANDS[name].handler) == (
+        {f.dest for f in flags if not f.figures and f.name != "--out-dir"}, any(f.figures for f in flags)
+    )
+
+
 @pytest.mark.parametrize("figure", list(cli.PRESETS))
-def test_the_figures_column_matches_what_each_preset_reads(figure):
-    # a preset that read a flag not listed for its figure would always see the
-    # default (the flag is refused), and a listed flag it never read would be
-    # accepted and then ignored
-    tree = ast.parse(textwrap.dedent(inspect.getsource(cli.PRESETS[figure])))
-    read = {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "a"}
+def test_each_preset_takes_the_flags_whose_figures_list_it(figure):
+    # a flag listed for a preset that does not take it, or taken but not
+    # listed, is a TypeError in every run of that preset
     flags = {flag.dest: flag for flag in COMMANDS["reproduce"].flags}
-    assert read <= set(flags), read - set(flags)
-    assert [dest for dest in read if figure not in flags[dest].figures] == []
-    assert [dest for dest, flag in flags.items() if figure in flag.figures and dest not in read] == []
+    assert _keywords(cli.PRESETS[figure]) == ({dest for dest, flag in flags.items() if figure in flag.figures}, False)
     # a per-preset default has a text for exactly the presets that read the flag
     assert [dest for dest, flag in flags.items()
             if isinstance(flag.default, dict) and set(flag.default) != set(flag.figures)] == []
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        # a missing flag comes first: with no --figure there is no preset to name
+        (["--seed", 1, "--out-dir", "x"], "missing --figure (pass the flag or set it in --config)"),
+        (["--figure", "4"], "missing --out-dir (pass the flag or set it in --config)"),
+        # then the --figure value, then a flag the preset does not read
+        (["--figure", "4", "--seed", 1, "--out-dir", "x"], "--figure: figure must be one of 2left, 2right, 3; got '4'"),
+    ],
+    ids=["missing-figure", "missing-out-dir", "bad-figure"],
+)
+def test_the_first_of_several_refusals_is_reported(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("reproduce", *argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_dir_where_no_directory_can_be_made_is_refused_before_the_compute(tmp_path, capsys, monkeypatch):
@@ -1082,9 +1109,14 @@ def test_config_setting_a_flag_twice_exit_2(tmp_path, capsys, monkeypatch, keys,
     assert not (tmp_path / "out").exists()
 
 
-def test_missing_required_flag_exit_2(capsys):
+def test_missing_required_flag_exit_2(tmp_path, capsys):
     assert run_cli("simulate", "--n", 10) == 2
     assert "--mu" in capsys.readouterr().err
+    # a null in --config sets no flag, so a required one stays missing
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mu": None}))
+    assert run_cli("simulate", "--n", 10, "--steps", 5, "--config", config, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: missing --mu (pass the flag or set it in --config)\n"
 
 
 @pytest.mark.parametrize(
@@ -1111,6 +1143,13 @@ def test_missing_required_flag_exit_2(capsys):
             {"n": 80, "mu": 1, "steps": 20},
             [],
             {"n": 80, "mu": 1.0, "steps": 20, "seed": 0, "y": 5},
+        ),
+        (
+            ["simulate"],
+            # a null sets no flag: seed keeps its built-in default
+            {"n": 80, "mu": 0.05, "steps": 20, "seed": None},
+            [],
+            {"n": 80, "mu": 0.05, "steps": 20, "seed": 0, "y": 5},
         ),
     ],
 )
@@ -1147,6 +1186,27 @@ OPT_ARGS = ["optimize", "--A", 1, "--B", 1, "--mu", 0.1]
 LEFT_ARGS = ["reproduce", "--figure", "2left", "--targets", "2", "--n", 20, "--steps", 5, "--runs", 1]
 RIGHT_ARGS = ["reproduce", "--figure", "2right", "--n-grid", "20,40", "--mu-grid", "0.05,0.1", "--steps", 5, "--runs", 1]
 CURVE_ARGS = ["reproduce", "--figure", "3"]
+
+
+@pytest.mark.parametrize("argv", [SIM_ARGS, LEFT_ARGS, RIGHT_ARGS, CURVE_ARGS], ids=["simulate", "2left", "2right", "3"])
+def test_the_manifests_config_is_what_the_handler_was_called_with(tmp_path, monkeypatch, argv):
+    calls = []
+
+    def recorded(function, **fixed):  # fixed: what cmd_reproduce takes before it calls the preset
+        def wrapper(**flags):
+            calls.append(fixed | flags)
+            return function(**flags)
+        return wrapper
+
+    if argv[0] == "simulate":
+        monkeypatch.setitem(COMMANDS, "simulate", COMMANDS["simulate"]._replace(
+            handler=recorded(COMMANDS["simulate"].handler)))
+    else:
+        monkeypatch.setitem(cli.PRESETS, argv[2], recorded(cli.PRESETS[argv[2]], figure=argv[2]))
+    assert run_cli(*argv, "--out-dir", tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert len(calls) == 1
+    assert json.loads(json.dumps(calls[0])) == manifest["config"]  # tuples as JSON lists
 
 
 @pytest.mark.parametrize(

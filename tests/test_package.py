@@ -1,4 +1,4 @@
-"""The CLI's lazy-import table, and the README's library example and CLI lines."""
+"""The CLI's lazy-import table, the README's library example and CLI lines, and the mutant table."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ import pytest
 
 import longtail
 from longtail import cli
+import mutants
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -59,3 +60,15 @@ def test_readme_cli_lines_parse_and_resolve():
     for argv in argvs:
         passed = vars(cli._build_parser().parse_args(argv))
         cli._resolve(passed.pop("command"), passed)
+
+
+def test_every_mutant_text_occurs_exactly_once():
+    # tests/mutants.py runs the mutants in CI; this catches a row whose text an
+    # edit changed in the Tier-1 run, and pins the runner's refusal of a text
+    # that occurs zero or several times
+    for mutant in mutants.MUTANTS:
+        mutants.mutate((ROOT / mutant.path).read_text(encoding="utf-8"), mutant)
+    with pytest.raises(ValueError, match="occurs 0 times, not once"):
+        mutants.mutate("", mutant)
+    with pytest.raises(ValueError, match="occurs 2 times, not once"):
+        mutants.mutate(mutant.text * 2, mutant)
