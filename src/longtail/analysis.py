@@ -60,7 +60,7 @@ def fit_alpha(samples: Sequence[float] | np.ndarray, s_min: float = 1) -> PowerL
     try:
         log_sum = math.fsum(count * math.log(float(v) / s_min) for v, count in counts.items() if v >= s_min)
     except OverflowError:
-        raise ValueError("a sample exceeds the largest float") from None
+        raise ValueError("samples must not exceed the largest float") from None
     n = sum(count for v, count in counts.items() if v >= s_min)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples >= s_min={s_min}, got {n}")

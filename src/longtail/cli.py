@@ -7,14 +7,15 @@ reads but --out-dir, keyed by dest) as keyword arguments, then prints its JSON
 or writes its files and a manifest.json recording the tool version and that
 same ``config``, which, given as --config, reruns the run bit-exactly.
 
-Every command and flag is declared once, in COMMANDS; that table builds the
-argument parser, resolves values (built-in default, per preset for --mu-grid,
-then --config, then the flag: each is text read by the flag's type), refuses
-a missing flag, then an unknown --figure, then a flag the preset does not read
-(all before --out-dir is checked, and that before the library's own checks),
-and names the flag behind an error: for a validation error, the flag whose
-dest or alias field starts the message; for an I/O error, the Path-typed flag
-(--input, --config, --out-dir) whose path holds the file.
+Every command and flag is declared once, in COMMANDS; the flags a reproduce
+preset reads are its keyword-only parameters (READS). These build the parser,
+resolve values (built-in default, per preset for --mu-grid, then --config, then
+the flag: each is text read by the flag's type), refuse a missing flag, then an
+unknown --figure, then a flag the preset does not read (all before --out-dir is
+checked, and that before the library's own checks), and name the flag behind an
+error: for a validation error, the flag whose dest or alias field starts the
+message; for an I/O error, the Path-typed flag (--input, --config, --out-dir)
+whose path holds the file.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -217,8 +218,7 @@ def cmd_optimize(*, A, B, mu, alpha, y_max) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reproduce: each preset takes the flags whose figures list it and returns the
-# files to write, so a failure while computing leaves no output directory
+# reproduce: each preset returns the files to write, so a failure while computing leaves no output directory
 
 def _sales_distribution(*, seed, steps, runs, n, targets) -> dict:
     _bind("run_sales_distribution")
@@ -298,6 +298,9 @@ def _inventory_curves(*, mu_grid, ab_ratios, alpha) -> dict:
 
 
 PRESETS = {"2left": _sales_distribution, "2right": _turnover_sweep, "3": _inventory_curves}
+# from each preset's code, once at import: not by inspect (a tenth of --help), nor from a stand-in set later
+READS = {figure: preset.__code__.co_varnames[preset.__code__.co_argcount:][:preset.__code__.co_kwonlyargcount]
+         for figure, preset in PRESETS.items()}
 
 
 def cmd_reproduce(*, figure, **flags) -> dict:
@@ -319,8 +322,6 @@ class Flag(NamedTuple):
     # library fields the value feeds under another name than its dest; a
     # ValueError whose message starts with the dest or one of them names this flag
     fields: tuple[str, ...] = ()
-    # the reproduce presets that read the flag; () for one that every command reads
-    figures: tuple[str, ...] = ()
 
     @property
     def dest(self) -> str:
@@ -333,8 +334,6 @@ class Command(NamedTuple):
     flags: tuple[Flag, ...]
 
 
-SEEDED = ("2left", "2right")  # the presets that simulate
-
 COMMANDS = {
     "simulate": Command(cmd_simulate, "run one simulation and write its outputs as CSV", (
         Flag("--n", int, REQUIRED, "number of agents", ("n_agents",)),
@@ -345,7 +344,7 @@ COMMANDS = {
         Flag("--out-dir", Path, REQUIRED, "output directory"),
     )),
     "fit": Command(cmd_fit, "fit a power-law exponent to a sales CSV", (
-        Flag("--input", Path, REQUIRED, "CSV with a 'sales' or 'cumulative_sales' column"),
+        Flag("--input", Path, REQUIRED, "CSV with a 'sales' or 'cumulative_sales' column", ("samples",)),
         Flag("--s-min", float, "1", "smallest sales value included"),
     )),
     "turnover": Command(cmd_turnover, "turnover statistics and implied mu for a chart file", (
@@ -363,14 +362,12 @@ COMMANDS = {
     "reproduce": Command(cmd_reproduce, "run a bundled experiment preset and render CSV + SVG", (
         Flag("--figure", str, REQUIRED, f"experiment preset: {', '.join(PRESETS)}"),
         Flag("--out-dir", Path, REQUIRED, "output directory"),
-        Flag("--seed", int, "0", "master seed", ("master_seed",), figures=SEEDED),
-        Flag("--steps", int, "1000", "steps per run", figures=SEEDED),
-        Flag("--runs", int, "10", "replicates per 2left target or 2right cell", ("replicates", "runs_per_cell"),
-             figures=SEEDED),
-        Flag("--y", int, "5", "top-list size", figures=("2right",)),
-        Flag("--n", int, "500", "agent count", ("n_agents",), figures=("2left",)),
-        Flag("--n-grid", _int_list, "100,200,300,400,500,600,700,800,900,1000", "comma-separated N grid",
-             figures=("2right",)),
+        Flag("--seed", int, "0", "master seed", ("master_seed",)),
+        Flag("--steps", int, "1000", "steps per run"),
+        Flag("--runs", int, "10", "replicates per 2left target or 2right cell", ("replicates", "runs_per_cell")),
+        Flag("--y", int, "5", "top-list size"),
+        Flag("--n", int, "500", "agent count", ("n_agents",)),
+        Flag("--n-grid", _int_list, "100,200,300,400,500,600,700,800,900,1000", "comma-separated N grid"),
         # 2right's grid keeps mu*N >= 1 (above winner-take-all) for N >= 500: much lower mu makes turnover scale
         # with mu*N, not sqrt(mu). 3's, 25 log-spaced values in [1e-4, 0.5], is text: numpy's bits vary by CPU
         Flag("--mu-grid", _float_list, {"2right": "0.002,0.003,0.005,0.01,0.02,0.05", "3": (
@@ -380,19 +377,22 @@ COMMANDS = {
                  "0.010083440787428274,0.014379126437305123,0.020504833762477987,0.029240177382128668,"
                  "0.041696898557787895,0.05946035575013605,0.08479129211571527,0.12091355875609794,"
                  "0.17242441206241074,0.2458796034201474,0.35062772524441616,0.5")},
-             "comma-separated mu grid", ("mu",), figures=("2right", "3")),
-        Flag("--targets", _float_list, "0.5,1,2,5", "comma-separated N*mu targets", figures=("2left",)),
-        Flag("--ab-ratios", _float_list, "10,100,1e3,1e4,1e5,1e6", "comma-separated A/B ratios",
-             ("profit_per_item",), figures=("3",)),
-        Flag("--alpha", float, "3.5", "exponent of the shelf-size curves", figures=("3",)),  # 3.5 as for optimize
-        Flag("--workers", int, "1", "worker processes for the sweep (at most one per cell and CPU)",
-             figures=("2right",)),
+             "comma-separated mu grid", ("mu",)),
+        Flag("--targets", _float_list, "0.5,1,2,5", "comma-separated N*mu targets"),
+        Flag("--ab-ratios", _float_list, "10,100,1e3,1e4,1e5,1e6", "comma-separated A/B ratios", ("profit_per_item",)),
+        Flag("--alpha", float, "3.5", "exponent of the shelf-size curves"),  # 3.5 as for optimize
+        Flag("--workers", int, "1", "worker processes for the sweep (at most one per cell and CPU)"),
     )),
 }
 
 
-def _help(flag: Flag) -> str:
-    notes = [f"read by --figure {', '.join(flag.figures)}"] if flag.figures else []
+def _figures(name: str, flag: Flag) -> tuple[str, ...]:
+    """The reproduce presets that read flag; () for a flag that every run of the command reads."""
+    return tuple(figure for figure, reads in READS.items() if flag.dest in reads) if name == "reproduce" else ()
+
+
+def _help(name: str, flag: Flag) -> str:
+    notes = [f"read by --figure {', '.join(_figures(name, flag))}"] if _figures(name, flag) else []
     if isinstance(flag.default, dict):
         notes += [f"default for {figure} {text}" for figure, text in flag.default.items()]
     elif isinstance(flag.default, str):
@@ -415,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", type=Path, metavar="JSON", help="JSON file supplying values (flags override)")
         for flag in command.flags:
-            p.add_argument(flag.name, type=flag.type, dest=flag.dest, help=_help(flag))
+            p.add_argument(flag.name, type=flag.type, dest=flag.dest, help=_help(name, flag))
     return parser
 
 
@@ -469,7 +469,7 @@ def _read_config(path: Path, name: str) -> dict:
 
 def _resolve(name: str, passed: dict) -> dict:
     """The value of each flag the run reads, by dest: built-in default, then --config, then the flag, each read
-    by the flag's type. reproduce reads --figure, --out-dir and the flags whose figures list the preset.
+    by the flag's type. reproduce reads --figure, --out-dir and the flags the preset reads (READS).
 
     Refused in this order: a missing flag, an unknown --figure, then a flag that the preset does not read,
     passed or set in --config, so that no value is silently ignored.
@@ -483,11 +483,11 @@ def _resolve(name: str, passed: dict) -> dict:
     figure = given.get("figure")
     if figure is not None and figure not in PRESETS:
         raise ValueError(f"figure must be one of {', '.join(PRESETS)}; got {figure!r}")
-    unread = [flag.name for flag in flags if flag.figures and figure not in flag.figures and flag.dest in given]
+    read = [flag for flag in flags if not _figures(name, flag) or figure in _figures(name, flag)]
+    unread = [flag.name for flag in flags if flag not in read and flag.dest in given]
     if unread:
-        reads = [flag.name for flag in flags if figure in flag.figures]
+        reads = [flag.name for flag in flags if figure in _figures(name, flag)]
         raise ValueError(f"{', '.join(unread)}: not read by --figure {figure}, which reads {' '.join(reads)}")
-    read = [flag for flag in flags if not flag.figures or figure in flag.figures]
     texts = [flag.default[figure] if isinstance(flag.default, dict) else flag.default for flag in read]
     return {flag.dest: given[flag.dest] if flag.dest in given else flag.type(text) for flag, text in zip(read, texts)}
 

@@ -61,14 +61,12 @@ MUTANTS = (
     Mutant("turnover counts the leavers, prev - current", ANALYSIS,
            "len(current - prev)", "len(prev - current)",
            ("tests/test_analysis.py::test_turnover_counts_entrants_across_lists_of_unequal_length",)),
-    Mutant("--y is listed for figure 3", CLI,
-           'Flag("--y", int, "5", "top-list size", figures=("2right",))',
-           'Flag("--y", int, "5", "top-list size", figures=("2right", "3"))',
-           ("tests/test_cli.py::test_each_preset_takes_the_flags_whose_figures_list_it",)),
-    Mutant("--n is listed for 2right instead of 2left", CLI,
-           'Flag("--n", int, "500", "agent count", ("n_agents",), figures=("2left",))',
-           'Flag("--n", int, "500", "agent count", ("n_agents",), figures=("2right",))',
-           ("tests/test_cli.py::test_each_preset_takes_the_flags_whose_figures_list_it",)),
+    Mutant("READS drops each preset's last parameter", CLI,
+           "[:preset.__code__.co_kwonlyargcount]", "[:preset.__code__.co_kwonlyargcount - 1]",
+           ("tests/test_cli.py::test_each_preset_takes_only_keyword_only_parameters_and_reads_them",)),
+    Mutant("_figures lists every preset for --y", CLI,
+           "if flag.dest in reads)", 'if flag.dest in reads or flag.dest == "y")',
+           ("tests/test_cli.py::test_help_and_the_unread_flag_refusal_name_the_presets_that_read_each_flag",)),
 )
 
 

@@ -13,6 +13,7 @@ import math
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -286,7 +287,7 @@ def test_fit_sales_beyond_every_float_exit_2(tmp_path, capsys):
     path = tmp_path / "sales.csv"
     write_lines(path, "sales", ["1", "9" * 400])
     assert run_cli("fit", "--input", path) == 2
-    assert capsys.readouterr().err == "error: a sample exceeds the largest float\n"
+    assert capsys.readouterr().err == "error: --input: samples must not exceed the largest float\n"
 
 
 def test_fit_reads_utf8_under_the_c_locale(tmp_path, capsys):
@@ -706,25 +707,64 @@ def _keywords(function) -> tuple[set[str], bool]:
     return {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}, any(p.kind is p.VAR_KEYWORD for p in parameters)
 
 
-@pytest.mark.parametrize("name", list(COMMANDS))
-def test_each_handler_takes_its_commands_flags_as_keywords(name):
-    # main calls the handler with the flags the run read, --out-dir excepted;
-    # reproduce takes --figure and hands the rest to the preset
-    flags = COMMANDS[name].flags
-    assert _keywords(COMMANDS[name].handler) == (
-        {f.dest for f in flags if not f.figures and f.name != "--out-dir"}, any(f.figures for f in flags)
-    )
-
-
 @pytest.mark.parametrize("figure", list(cli.PRESETS))
-def test_each_preset_takes_the_flags_whose_figures_list_it(figure):
-    # a flag listed for a preset that does not take it, or taken but not
-    # listed, is a TypeError in every run of that preset
-    flags = {flag.dest: flag for flag in COMMANDS["reproduce"].flags}
-    assert _keywords(cli.PRESETS[figure]) == ({dest for dest, flag in flags.items() if figure in flag.figures}, False)
-    # a per-preset default has a text for exactly the presets that read the flag
-    assert [dest for dest, flag in flags.items()
-            if isinstance(flag.default, dict) and set(flag.default) != set(flag.figures)] == []
+def test_each_preset_takes_only_keyword_only_parameters_and_reads_them(figure):
+    # READS is sliced from the preset's code object; inspect is the oracle here.
+    # A parameter that is not a reproduce flag would be a TypeError in every run
+    assert _keywords(cli.PRESETS[figure]) == (set(cli.READS[figure]), False)
+    assert set(cli.READS[figure]) <= {f.dest for f in COMMANDS["reproduce"].flags} - {"figure", "out_dir"}
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if name != "reproduce"])
+def test_each_handler_takes_its_commands_flags_as_keywords(name):
+    # main calls the handler with the flags the run read, --out-dir excepted
+    flags = COMMANDS[name].flags
+    assert _keywords(COMMANDS[name].handler) == ({f.dest for f in flags if f.name != "--out-dir"}, False)
+
+
+def test_every_reproduce_flag_is_read_by_some_preset():
+    # a flag that no preset reads would be refused in every run; reproduce's
+    # handler takes --figure and hands the rest to the preset
+    read = {dest for reads in cli.READS.values() for dest in reads}
+    assert [f.name for f in COMMANDS["reproduce"].flags if f.dest not in read] == ["--figure", "--out-dir"]
+    assert _keywords(cli.cmd_reproduce) == ({"figure"}, True)
+
+
+def test_a_per_preset_default_has_a_text_for_exactly_the_presets_that_read_it():
+    defaults = {f.dest: set(f.default) for f in COMMANDS["reproduce"].flags if isinstance(f.default, dict)}
+    assert defaults == {dest: {figure for figure, reads in cli.READS.items() if dest in reads} for dest in defaults}
+
+
+# the presets that read each reproduce flag, as README states the paper's protocol
+READ_BY = {
+    "--seed": ("2left", "2right"),
+    "--steps": ("2left", "2right"),
+    "--runs": ("2left", "2right"),
+    "--y": ("2right",),
+    "--n": ("2left",),
+    "--n-grid": ("2right",),
+    "--mu-grid": ("2right", "3"),
+    "--targets": ("2left",),
+    "--ab-ratios": ("3",),
+    "--alpha": ("3",),
+    "--workers": ("2right",),
+}
+
+
+def test_help_and_the_unread_flag_refusal_name_the_presets_that_read_each_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line breaks within a help text
+    assert run_cli("reproduce", "--help") == 0
+    options = re.split(r"\s+(?=--[\w-]+ [A-Z_]+\s)", capsys.readouterr().out)  # one item per option
+    notes = [re.match(r"(--[\w-]+) .*?\(read by --figure ([\w, ]+)", option, re.S) for option in options]
+    assert {note[1]: tuple(note[2].split(", ")) for note in notes if note} == READ_BY
+    # every flag passed at once: each preset refuses exactly those it does not read, and names those it reads
+    monkeypatch.setattr(cli, "_check_out_dir", None)  # a refusal comes first
+    every = [arg for flag in READ_BY for arg in (flag, "1")]
+    for figure in cli.PRESETS:
+        assert run_cli("reproduce", "--figure", figure, *every, "--out-dir", tmp_path) == 2
+        unread = ", ".join(flag for flag, figures in READ_BY.items() if figure not in figures)
+        reads = " ".join(flag for flag, figures in READ_BY.items() if figure in figures)
+        assert capsys.readouterr().err == f"error: {unread}: not read by --figure {figure}, which reads {reads}\n"
 
 
 @pytest.mark.parametrize(
@@ -911,11 +951,12 @@ def test_a_closed_stderr_keeps_the_exit_code_and_the_result(tmp_path, argv, stat
 def test_importing_and_rejecting_argv_load_no_numpy():
     # numpy took half of the import time of the CLI, and the file I/O, plotting,
     # dataclasses and platform most of the rest; only a command that computes
-    # needs them, and a command loads only the modules it calls. A serial call
-    # never needs the process pool either: importing multiprocessing cost about 2 MB
+    # needs them, and a command loads only the modules it calls. inspect, which
+    # READS does without, would take a tenth of --help. A serial call never
+    # needs the process pool either: importing multiprocessing cost about 2 MB
     script = """
 import contextlib, io, sys
-DEFERRED = ('numpy', 'dataclasses', 'platform', 'csv', 'longtail.chartdata', 'longtail.svgplot',
+DEFERRED = ('numpy', 'dataclasses', 'inspect', 'platform', 'csv', 'longtail.chartdata', 'longtail.svgplot',
             'multiprocessing', 'concurrent.futures.process')
 def loaded():
     return [m for m in DEFERRED if m in sys.modules]
@@ -1434,7 +1475,7 @@ def fuzz_calls(draw):
     if name == "reproduce":
         # the figure that the call resolves to: the last --figure passed, else the config's
         figure = dict(zip(argv[1::2], argv[2::2])).get("--figure", (config or {}).get("figure"))
-        reads = {f.name for f in COMMANDS[name].flags if figure in f.figures}
+        reads = {"--" + dest.replace("_", "-") for dest in cli.READS.get(figure, ())}
         sizes = [f for flag, value in REPRODUCE_SIZES.items()
                  if flag in reads and flag.lstrip("-") not in (config or {}) for f in (flag, value)]
         argv = argv[:1] + sizes + argv[1:]

@@ -1,4 +1,4 @@
-"""The CLI's lazy-import table, the README's library example and CLI lines, and the mutant table."""
+"""The CLI's lazy-import table, the README's library example, CLI lines and preset flag lists, and the mutant table."""
 
 import ast
 import importlib
@@ -60,6 +60,12 @@ def test_readme_cli_lines_parse_and_resolve():
     for argv in argvs:
         passed = vars(cli._build_parser().parse_args(argv))
         cli._resolve(passed.pop("command"), passed)
+
+
+def test_readme_lists_the_flags_each_preset_reads():
+    # the README's per-preset flag lists, against READS, which the presets' signatures state
+    lists = re.findall(r"^ *\* `(\w+)`: `(--[^`]+)`", README.read_text(encoding="utf-8"), re.M)
+    assert {figure: tuple(flag[2:].replace("-", "_") for flag in flags.split()) for figure, flags in lists} == cli.READS
 
 
 def test_every_mutant_text_occurs_exactly_once():
