@@ -1475,7 +1475,8 @@ def fuzz_calls(draw):
     if name == "reproduce":
         # the figure that the call resolves to: the last --figure passed, else the config's
         figure = dict(zip(argv[1::2], argv[2::2])).get("--figure", (config or {}).get("figure"))
-        reads = {"--" + dest.replace("_", "-") for dest in cli.READS.get(figure, ())}
+        # a config may give any JSON value, a list among them, which names no preset
+        reads = {"--" + dest.replace("_", "-") for dest in (cli.READS.get(figure, ()) if isinstance(figure, str) else ())}
         sizes = [f for flag, value in REPRODUCE_SIZES.items()
                  if flag in reads and flag.lstrip("-") not in (config or {}) for f in (flag, value)]
         argv = argv[:1] + sizes + argv[1:]
