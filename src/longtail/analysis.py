@@ -10,9 +10,8 @@ an observed chart.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -40,8 +39,12 @@ class LogLogFit:
     r_squared: float
 
 
-def fit_alpha(samples: Sequence[float] | np.ndarray, s_min: float = 1) -> PowerLawFit:
+def fit_alpha(counts: Mapping[float, int], s_min: float = 1) -> PowerLawFit:
     """ML estimate of the exponent alpha for P(s) ~ s^-alpha, s >= s_min.
+
+    ``counts`` maps each distinct sample value to the number of times it
+    occurs, as ``chartdata.read_sales_column`` reads a sales file (a
+    ``collections.Counter`` of a list of samples will do).
 
     Uses the continuous-approximation estimator
     ``alpha = 1 + n / sum(ln(s_i / s_min))`` over the samples >= s_min,
@@ -50,13 +53,12 @@ def fit_alpha(samples: Sequence[float] | np.ndarray, s_min: float = 1) -> PowerL
     approximation error is small compared to the sampling error.
 
     ``math.log`` is taken once per distinct value and count x log summed
-    with ``math.fsum``, which rounds once, so no float array is made, a
-    caller's array is never written, and the sum's bits do not depend on
-    numpy's choice of kernel for the CPU.
+    with ``math.fsum``, which rounds once: the sum is the same in any order
+    of the values, and its bits do not depend on numpy's choice of kernel
+    for the CPU.
     """
     if not 1 <= s_min < math.inf:
         raise ValueError(f"s_min must be finite and >= 1, got {s_min}")
-    counts = Counter(samples.tolist() if isinstance(samples, np.ndarray) else samples)
     try:
         log_sum = math.fsum(count * math.log(float(v) / s_min) for v, count in counts.items() if v >= s_min)
     except OverflowError:

@@ -11,6 +11,9 @@ round-trip exactly. A chart file has header
 ``period,product_id[,sales]`` and one row per item per period in rank order,
 with consecutive periods and no repeated (period, product_id) pair. Errors
 name ``<path>:<line>``, where the bad record ends, or ``<path>`` for bad bytes.
+
+The readers stream: ``read_sales_column`` counts each value as it parses it,
+and ``load_chart`` holds one period at a time (see ``Chart``).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 SCHEMAS = {
     "cumulative_sales.csv": "cumulative-sales v1: product_id,cumulative_sales",
@@ -91,30 +96,62 @@ def _csv_reader(path: Path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def read_sales_column(path: Path) -> list[int]:
-    """The 'sales' (else 'cumulative_sales') column; blank lines are skipped, a repeated name reads its last."""
+def read_sales_column(path: Path) -> Counter[int]:
+    """The count of each value of the 'sales' (else 'cumulative_sales') column, counted as it is read; blank lines
+    are skipped, a repeated name reads its last."""
     with _csv_reader(path) as reader:
         header = next(reader, [])
         column = next((c for c in ("sales", "cumulative_sales") if c in header), None)
         if column is None:
             raise ValueError(f"{path}: no 'sales' or 'cumulative_sales' column (found: {','.join(header)})")
         index = len(header) - 1 - header[::-1].index(column)
-        values = []
-        for row in filter(None, reader):
-            raw = row[index] if index < len(row) else None
-            try:
-                value = int(raw)
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}:{reader.line_num}: sales value {raw!r} is not an integer") from None
-            if value < 0:
-                raise ValueError(f"{path}:{reader.line_num}: sales value {value} is negative")
-            values.append(value)
-    return values
+
+        def values():
+            for row in filter(None, reader):
+                raw = row[index] if index < len(row) else None
+                try:
+                    value = int(raw)
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}:{reader.line_num}: sales value {raw!r} is not an integer") from None
+                if value < 0:
+                    raise ValueError(f"{path}:{reader.line_num}: sales value {value} is negative")
+                yield value
+
+        return Counter(values())  # counted in C: no list of every value
 
 
-def load_chart(path: str | Path) -> list[list[int]]:
-    """Per-period ranked product-id lists from a chart CSV."""
-    path = Path(path)
+class Interleaved(Exception):
+    """Raised by a ``Chart`` pass over a file whose periods interleave, so the lists it yielded may be incomplete.
+    ``lists`` holds every period's list, read from the whole file: fold those instead."""
+
+    def __init__(self, lists: list[list[int]]):
+        super().__init__("a period's rows are not all together")
+        self.lists = lists
+
+
+class Chart:
+    """A chart CSV's ranked product-id lists, one per period in period order, read from the file at each pass.
+
+    A pass holds only the current period's ids and yields them when the next
+    period starts. A row of neither period (the periods interleave or have a
+    gap) makes the pass read the whole file again, which raises the file's
+    first error or else ``Interleaved`` with every period's list. So a pass
+    gives the lists, or the error at its line, that reading the whole file
+    first gives.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+
+    def __iter__(self) -> Iterator[list[int]]:
+        return _periods(self.path, whole=False)
+
+
+load_chart = Chart  # the name the CLI calls, and perfbench's tracer wraps
+
+
+def _periods(path: Path, whole: bool) -> Iterator[list[int]]:
+    """Each period's ranked ids, in period order; ``whole`` reads every row before yielding any (see ``Chart``)."""
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
@@ -125,8 +162,7 @@ def load_chart(path: str | Path) -> list[list[int]]:
         # each period's ids are the keys of a dict: an insertion-ordered set,
         # so one lookup finds a duplicate and the keys keep the rank order
         by_period: dict[int, dict[int, None]] = {}
-        # one int object per distinct id, shared by every period that lists it
-        interned: dict[int, int] = {}
+        current = None  # the latest period; a stream (not whole) keeps its dict alone
         for row in reader:
             if len(row) != width:
                 raise ValueError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
@@ -134,10 +170,14 @@ def load_chart(path: str | Path) -> list[list[int]]:
                 period, product_id = int(row[0]), int(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{reader.line_num}: period and product_id must be integers") from None
-            product_id = interned.setdefault(product_id, product_id)
             ids = by_period.get(period)
             if ids is None:  # not setdefault(period, {}), which makes an empty dict for every row
+                if by_period and not whole:
+                    if period != current + 1:  # interleaved or gapped
+                        raise Interleaved(list(_periods(path, whole=True)))
+                    yield list(by_period.pop(current))
                 ids = by_period[period] = {}
+                current = period
             if product_id in ids:
                 raise ValueError(f"{path}:{reader.line_num}: duplicate entry for period {period}, product {product_id}")
             ids[product_id] = None
@@ -147,4 +187,5 @@ def load_chart(path: str | Path) -> list[list[int]]:
     periods = sorted(by_period)
     if periods != list(range(periods[0], periods[0] + len(periods))):
         raise ValueError(f"{path}: periods must be consecutive integers, got gaps in {periods[0]}..{periods[-1]}")
-    return [list(by_period.pop(p)) for p in periods]  # popped: each period's dict is freed once copied
+    for period in periods:
+        yield list(by_period.pop(period))  # popped: each period's dict is freed once copied

@@ -14,8 +14,8 @@ the flag: each is text read by the flag's type), refuse a missing flag, then an
 unknown --figure, then a flag the preset does not read (all before --out-dir is
 checked, and that before the library's own checks), and name the flag behind an
 error: for a validation error, the flag whose dest or alias field starts the
-message; for an I/O error, the Path-typed flag (--input, --config, --out-dir)
-whose path holds the file.
+message, or whose path does (a malformed --input file); for an I/O error, the
+Path-typed flag (--input, --config, --out-dir) whose path holds the file.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 insufficient data.
 """
@@ -50,7 +50,7 @@ LAZY = {
     **dict.fromkeys(("calibrate_mu", "expected_turnover", "fit_alpha", "turnover"), "longtail.analysis"),
     **dict.fromkeys(("per_mu_stats", "run_sales_distribution", "run_turnover_sweep"), "longtail.experiments"),
     **dict.fromkeys(("InventoryParams", "bruteforce_stock", "inventory_curve"), "longtail.inventory"),
-    **dict.fromkeys(("SCHEMAS", "load_chart", "read_sales_column", "write_files"), "longtail.chartdata"),
+    **dict.fromkeys(("SCHEMAS", "Interleaved", "load_chart", "read_sales_column", "write_files"), "longtail.chartdata"),
     **dict.fromkeys(("Series", "loglog_svg"), "longtail.svgplot"),
     "asdict": "dataclasses",
 }
@@ -193,14 +193,24 @@ def cmd_fit(*, input, s_min) -> dict:
 # turnover
 
 def cmd_turnover(*, input, y) -> dict:
-    _bind("load_chart", "turnover", "calibrate_mu")
-    lists = load_chart(input)
-    if y < 1:
-        raise ValueError(f"y must be >= 1, got {y}")
-    shortest = min(len(l) for l in lists)
-    if y > shortest:
-        raise ValueError(f"y {y} exceeds the shortest per-period list length ({shortest})")
-    stats = turnover(l[:y] for l in lists)  # streamed: no list of every period's prefix
+    _bind("load_chart", "Interleaved", "turnover", "calibrate_mu")
+
+    def tops(lists):
+        """Each period's top y, as the chart streams; y is checked after the last period, so after every parse
+        error and before turnover's own check of the period count."""
+        shortest = math.inf
+        for ids in lists:
+            shortest = min(shortest, len(ids))
+            yield ids[:y]
+        if y < 1:
+            raise ValueError(f"y must be >= 1, got {y}")
+        if y > shortest:
+            raise ValueError(f"y {y} exceeds the shortest per-period list length ({shortest})")
+
+    try:
+        stats = turnover(tops(load_chart(input)))
+    except Interleaved as exc:  # the stream met a period's rows apart: fold the lists of the whole file
+        stats = turnover(tops(exc.lists))
     fraction = stats.z_bar / y  # y <= shortest < 2**53: the correctly rounded quotient
     return {**asdict(stats), "as_fraction": fraction, "mu_hat": calibrate_mu(fraction)}
 
@@ -497,7 +507,8 @@ def _flagged(exc: Exception, name: str, values: dict) -> str:
 
     An OSError is behind the file flag (a Path in ``values``, by dest: --input,
     --config, --out-dir) whose path is the file it names or a directory above
-    it; any other error, behind the flag whose dest or field starts its message.
+    it; any other error, behind the flag whose dest or field starts its message,
+    or whose path does, followed by ':' (as a reader's message starts).
     """
     message = str(exc)
     if isinstance(exc, OSError):
@@ -506,7 +517,8 @@ def _flagged(exc: Exception, name: str, values: dict) -> str:
                  if isinstance(value, Path) and failed and failed.is_relative_to(value))
     else:
         field = message.split(" ", 1)[0]
-        flags = (f.name for f in COMMANDS[name].flags if field in (f.dest, *f.fields))
+        flags = (f.name for f in COMMANDS[name].flags if field in (f.dest, *f.fields)
+                 or isinstance(values.get(f.dest), Path) and message.startswith(f"{values[f.dest]}:"))
     flag = next(flags, None)
     return f"{flag}: {message}" if flag else message
 

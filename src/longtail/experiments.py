@@ -196,8 +196,9 @@ def run_sales_distribution(
         # every product sold: once in period 0, or once in its first period
         samples = np.concatenate([run(config, y=1)[0] for config in configs])
         winner_take_all = target <= 1.0
+        values, counts = np.unique(samples, return_counts=True)  # fit_alpha's input: each value's count
         try:
-            fit = None if winner_take_all else fit_alpha(samples)
+            fit = None if winner_take_all else fit_alpha(dict(zip(values.tolist(), counts.tolist())))
         except InsufficientDataError as exc:
             raise InsufficientDataError(
                 f"no exponent fit for the target N*mu={target:g} (mu={mu}) over {replicates} "

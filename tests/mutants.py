@@ -2,7 +2,7 @@
 
 Each row of MUTANTS names a file, a text that occurs in it exactly once, the
 text that replaces it, and the test ids that must fail on the mutant. Run
-from the repository root (17-20 s for the 8 rows on a 2-vCPU Xeon VM):
+from the repository root (22-27 s for the 9 rows on a 2-vCPU Xeon VM):
 
     python tests/mutants.py
 
@@ -40,7 +40,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-MODEL, INVENTORY, ANALYSIS, CLI = (f"src/longtail/{m}.py" for m in ("model", "inventory", "analysis", "cli"))
+MODEL, INVENTORY, ANALYSIS, CHARTDATA, CLI = (
+    f"src/longtail/{m}.py" for m in ("model", "inventory", "analysis", "chartdata", "cli"))
 
 MUTANTS = (
     Mutant("rank_top breaks ties toward the newer product", MODEL,
@@ -61,6 +62,10 @@ MUTANTS = (
     Mutant("turnover counts the leavers, prev - current", ANALYSIS,
            "len(current - prev)", "len(prev - current)",
            ("tests/test_analysis.py::test_turnover_counts_entrants_across_lists_of_unequal_length",)),
+    Mutant("a chart pass takes a row out of period order for the next period", CHARTDATA,
+           "if period != current + 1:", "if False:",
+           ("tests/test_chartdata.py::test_load_chart_reports_the_first_duplicate_of_interleaved_periods",
+            "tests/test_cli.py::test_streamed_turnover_matches_the_whole_file_reference")),
     Mutant("READS drops each preset's last parameter", CLI,
            "[:preset.__code__.co_kwonlyargcount]", "[:preset.__code__.co_kwonlyargcount - 1]",
            ("tests/test_cli.py::test_each_preset_takes_only_keyword_only_parameters_and_reads_them",)),

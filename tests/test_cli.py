@@ -19,6 +19,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from longtail import chartdata, cli, experiments
 from longtail.analysis import fit_alpha
 from longtail.cli import COMMANDS, main
@@ -248,7 +250,7 @@ def test_fit_matches_library_call(tmp_path, capsys):
     write_lines(path, "sales", [str(s) for s in samples])
     assert run_cli("fit", "--input", path, "--s-min", 1) == 0
     payload = read_json(capsys)
-    direct = fit_alpha(samples, s_min=1)
+    direct = fit_alpha(Counter(samples), s_min=1)
     assert payload["alpha"] == pytest.approx(direct.alpha, rel=1e-15)
     assert payload["n_samples"] == direct.n_samples
     assert payload["std_error"] == pytest.approx(direct.std_error, rel=1e-15)
@@ -416,9 +418,10 @@ def test_turnover_memory_is_bounded(tmp_path, capsys):
     code, peak = traced_peak(main, argv)
     assert code == 0
     assert read_json(capsys)["z_per_period"] == [1] * 999
-    # 742 KB; 860 KB with every period's id dict alive beside its list, and a
-    # list of every period's prefix
-    assert peak < 800_000
+    # 86 KB, one period's ids at a time; 0.53 MB when the reader held every
+    # period's list, and 0.86 MB with every period's id dict alive beside it
+    # and a list of every period's prefix
+    assert peak < 150_000
 
 
 def test_turnover_y_too_large_exit_2(tmp_path, capsys):
@@ -441,6 +444,108 @@ def test_turnover_single_period_exit_4(tmp_path):
     assert run_cli("turnover", "--input", path, "--y", 2) == 4
 
 
+@st.composite
+def chart_files(draw):
+    """A chart file's text and a y: consecutive, gapped or interleaved periods, short lists, at times a duplicate
+    pair or a malformed row, and y of 0, 1, the shortest list's length or one more."""
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 1, 1, 2]), max_size=5))  # 2 leaves a gap
+    periods = [draw(st.integers(0, 2)) + sum(steps[:i]) for i in range(len(steps))]
+    lists = [draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)) for _ in periods]
+    rows = [f"{period},{pid}" for period, ids in zip(periods, lists) for pid in ids]
+    order = draw(st.sampled_from(["periods", "shuffled", "one row moved"]))
+    if order == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif order == "one row moved" and rows:
+        row = rows.pop(draw(st.integers(0, len(rows) - 1)))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    extra = draw(st.sampled_from([None] * 8 + ["duplicate", "x,1", "1", "1,2,3"]))
+    if extra is not None:
+        row = draw(st.sampled_from(rows)) if extra == "duplicate" and rows else extra
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    shortest = min(map(len, lists), default=1)
+    y = draw(st.sampled_from([1, shortest] * 3 + [0, shortest + 1]))
+    return "".join(f"{row}\n" for row in ["period,product_id", *rows]), y
+
+
+def reference_turnover(path, y):
+    """(stdout, stderr, exit code) of `longtail turnover`, from oracles.load_chart and plain set differences."""
+    try:
+        lists = oracles.load_chart(path)
+    except ValueError as exc:
+        return "", f"error: --input: {exc}\n", 2
+    shortest = min(map(len, lists))
+    if y < 1:
+        return "", f"error: --y: y must be >= 1, got {y}\n", 2
+    if y > shortest:
+        return "", f"error: --y: y {y} exceeds the shortest per-period list length ({shortest})\n", 2
+    z = [len(set(current[:y]) - set(previous[:y])) for previous, current in zip(lists, lists[1:])]
+    if not z:
+        return "", "error: turnover needs at least 2 recorded periods\n", 4
+    z_bar = sum(z) / len(z)
+    payload = {"z_per_period": z, "z_bar": z_bar, "as_fraction": z_bar / y, "mu_hat": oracles.square_of_repr(z_bar / y)}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n", "", 0
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chart=chart_files())
+def test_streamed_turnover_matches_the_whole_file_reference(tmp_path, chart):
+    # the chart streams one period at a time, and a file whose periods interleave
+    # or have a gap is read again whole: the output, the message and its line,
+    # and the exit code must be those of reading the whole file first
+    text, y = chart
+    path = tmp_path / "chart.csv"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["turnover", "--input", str(path), "--y", str(y)])
+    assert (out.getvalue(), err.getvalue(), code) == reference_turnover(path, y), text
+
+
+def test_a_traced_turnover_prints_the_same_bytes_and_counts_every_row(tmp_path):
+    # perfbench's tracer counts load_chart's rows by a pass over its result,
+    # before cmd_turnover makes its own; an interleaved chart is folded from the
+    # whole file's lists, however many rows the tracer's pass counted
+    consecutive, interleaved = tmp_path / "consecutive.csv", tmp_path / "interleaved.csv"
+    write_lines(consecutive, "period,product_id", chart_rows([[1, 2, 3], [2, 3, 4], [5, 2, 3], [5, 6, 7]]))
+    write_lines(interleaved, "period,product_id", ["0,1", "1,1", "0,2", "1,3", "2,3", "2,1"])
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    script = f"""
+import contextlib, importlib.util, io, json
+import longtail.cli as cli
+def run(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(['turnover', '--input', path, '--y', '2'])
+    return code, out.getvalue()
+plain = [run(path) for path in {[str(consecutive), str(interleaved)]!r}]
+spec = importlib.util.spec_from_file_location("tracing", {str(tracing)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+traced = [run({str(consecutive)!r})]
+rows = tracer.counts["chartdata.load_chart"]["rows"]
+traced.append(run({str(interleaved)!r}))
+print(json.dumps([plain == traced, [code for code, _ in plain], rows, tracer.counter_errors]))
+"""
+    assert json.loads(_probe(script)) == [True, [0, 0], 12, 0]
+
+
+def test_a_malformed_input_file_is_named_by_input(tmp_path, capsys):
+    sales, chart = tmp_path / "s.csv", tmp_path / "chart.csv"
+    write_lines(sales, "sales", ["1", "2", "3"])
+    write_lines(chart, "period,product_id", chart_rows([[1, 2], [2, 3]]))
+    assert run_cli("turnover", "--input", sales, "--y", 1) == 2
+    expected = f"error: --input: {sales}: header must be 'period,product_id[,sales]', got sales\n"
+    assert capsys.readouterr().err == expected
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": str(chart)}))
+    for argv in (["fit", "--input", chart], ["fit", "--config", config]):
+        assert run_cli(*argv) == 2
+        expected = f"error: --input: {chart}: no 'sales' or 'cumulative_sales' column (found: period,product_id)\n"
+        assert capsys.readouterr().err == expected
+
+
 # ---------------------------------------------------------------------------
 # fit and turnover: reader messages
 
@@ -460,7 +565,7 @@ def test_reader_errors_name_the_physical_line(tmp_path, capsys, command, text, l
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode())
     assert run_cli(*command, "--input", path) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+    assert capsys.readouterr().err.startswith(f"error: --input: {path}:{line}: ")
 
 
 @pytest.mark.parametrize("command", [["fit"], ["turnover", "--y", 1]], ids=["fit", "turnover"])
@@ -479,7 +584,7 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, command, conte
     path.write_bytes(content)
     assert run_cli(*command, "--input", path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: " + prefix.format(path=path)), err
+    assert err.startswith("error: --input: " + prefix.format(path=path)), err
     assert "Traceback" not in err
 
 
